@@ -15,17 +15,13 @@ use crate::ir::AccessProgram;
 use crate::lint::lint;
 use crate::recmem::extract;
 use ctbia_core::taint::LeakViolation;
-use ctbia_harness::{CellSpec, Digest, WorkloadSpec};
-use ctbia_verify::{leak_kind_tag, parse_leak_kind};
+use ctbia_harness::{cache_records, CellSpec, WorkloadSpec};
+use ctbia_verify::{parse_flag, parse_violation_record, push_violation_records, STORED_VIOLATIONS};
 use std::fmt;
 
 /// Version tag of the certification-report cache encoding. Bump whenever
 /// the analyzer's semantics change so stale verdicts miss.
 pub const ANALYZE_SCHEMA_VERSION: &str = "ctbia-analyze-v1";
-
-/// How many violations a report stores verbatim (the count is always
-/// exact; the samples are for display).
-const STORED_VIOLATIONS: usize = 8;
 
 /// One static-analysis cell: the workload/strategy/placement/config to
 /// certify.
@@ -54,21 +50,10 @@ impl AnalyzeCell {
     pub fn label(&self) -> String {
         format!("analyze:{}", self.spec.label())
     }
-
-    /// The cache key: the underlying cell digest extended with the
-    /// analyze schema marker.
-    pub fn digest_hex(&self) -> String {
-        let mut d = Digest::new();
-        d.field_str("analyze", ANALYZE_SCHEMA_VERSION);
-        let cell = self.spec.digest();
-        d.field_u64("cell.hi", (cell >> 64) as u64);
-        d.field_u64("cell.lo", cell as u64);
-        d.hex()
-    }
 }
 
 /// The verdict of one analysis cell.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AnalyzeReport {
     /// The cell label at execution time.
     pub label: String,
@@ -124,16 +109,7 @@ impl AnalyzeReport {
         out.push_str(&format!("trace_millibits {}\n", self.trace_millibits));
         out.push_str(&format!("state_lines {}\n", self.state_lines));
         out.push_str(&format!("predicted_insts {}\n", self.predicted_insts));
-        for v in &self.violations {
-            let kind = leak_kind_tag(v.kind);
-            let addr = v
-                .addr
-                .map_or_else(|| "-".to_string(), |a| format!("{a:#x}"));
-            out.push_str(&format!("viol {kind} {addr} {}\n", v.context));
-            for step in &v.provenance {
-                out.push_str(&format!("prov {step}\n"));
-            }
-        }
+        push_violation_records(&mut out, &self.violations);
         out.push_str("end\n");
         out
     }
@@ -142,28 +118,9 @@ impl AnalyzeReport {
     /// version, missing field, garbage value, missing `end` trailer —
     /// returns `None` (a cache miss, so the cell re-analyzes).
     pub fn from_cache_text(text: &str) -> Option<AnalyzeReport> {
-        let mut lines = text.lines();
-        if lines.next()? != ANALYZE_SCHEMA_VERSION {
-            return None;
-        }
-        let mut report = AnalyzeReport {
-            label: String::new(),
-            ops: 0,
-            ds_ops: 0,
-            aborted: false,
-            violation_count: 0,
-            violations: Vec::new(),
-            trace_millibits: 0,
-            state_lines: 0,
-            predicted_insts: 0,
-        };
-        let (mut saw_label, mut closed) = (false, false);
-        for line in lines {
-            if line == "end" {
-                closed = true;
-                break;
-            }
-            let (key, value) = line.split_once(' ')?;
+        let mut report = AnalyzeReport::default();
+        let mut saw_label = false;
+        for (key, value) in cache_records(text, ANALYZE_SCHEMA_VERSION)? {
             match key {
                 "label" => {
                     report.label = value.to_string();
@@ -176,38 +133,10 @@ impl AnalyzeReport {
                 "trace_millibits" => report.trace_millibits = value.parse().ok()?,
                 "state_lines" => report.state_lines = value.parse().ok()?,
                 "predicted_insts" => report.predicted_insts = value.parse().ok()?,
-                "viol" => {
-                    let (kind, rest) = value.split_once(' ')?;
-                    let (addr, context) = rest.split_once(' ')?;
-                    let kind = parse_leak_kind(kind)?;
-                    let addr = match addr {
-                        "-" => None,
-                        hex => Some(u64::from_str_radix(hex.strip_prefix("0x")?, 16).ok()?),
-                    };
-                    report.violations.push(LeakViolation {
-                        kind,
-                        context: context.to_string(),
-                        addr,
-                        provenance: Vec::new(),
-                    });
-                }
-                "prov" => report
-                    .violations
-                    .last_mut()?
-                    .provenance
-                    .push(value.to_string()),
-                _ => return None,
+                _ => parse_violation_record(&mut report.violations, key, value)?,
             }
         }
-        (closed && saw_label).then_some(report)
-    }
-}
-
-fn parse_flag(value: &str) -> Option<bool> {
-    match value {
-        "0" => Some(false),
-        "1" => Some(true),
-        _ => None,
+        saw_label.then_some(report)
     }
 }
 
@@ -273,7 +202,7 @@ pub fn execute_analyze_cell(cell: &AnalyzeCell) -> Result<AnalyzeReport, String>
 mod tests {
     use super::*;
     use ctbia_core::taint::{LeakKind, Taint};
-    use ctbia_harness::{CryptoKernel, StrategySpec};
+    use ctbia_harness::{Cell, CryptoKernel, StrategySpec};
     use ctbia_machine::BiaPlacement;
 
     fn cell(name: &str, size: usize, strategy: StrategySpec) -> AnalyzeCell {

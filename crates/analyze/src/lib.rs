@@ -25,9 +25,9 @@
 //!    distinctions an attacker could draw. A bound of exactly 0 bits
 //!    certifies the cell.
 //!
-//! [`cell`] and [`engine`] package the pipeline as memoizing grid cells
-//! in the same content-addressed store the simulation and verification
-//! sweeps use: [`analyze_grid`] is the canonical certification grid
+//! [`cell`] and [`engine`] package the pipeline as memoizing cells of
+//! the same harness grid engine and content-addressed store the
+//! simulation and verification sweeps use: [`analyze_grid`] is the canonical certification grid
 //! (Ghostrider and crypto kernels under CT and BIA must certify; every
 //! insecure cell and the leaky control must fail with a named
 //! violation *and* a positive bound), and [`AnalyzeEngine`] runs it in

@@ -201,6 +201,25 @@ impl DiskCache {
     }
 }
 
+/// Splits versioned cache text into its `key value` records: the first
+/// line must be `schema` and the records end at the `end` trailer. Any
+/// anomaly — wrong header, missing trailer, a line without a space —
+/// returns `None`, which every decoder treats as a cache miss.
+pub fn cache_records<'a>(text: &'a str, schema: &str) -> Option<Vec<(&'a str, &'a str)>> {
+    let mut lines = text.lines();
+    if lines.next()? != schema {
+        return None;
+    }
+    let mut records = Vec::new();
+    for line in lines {
+        if line == "end" {
+            return Some(records);
+        }
+        records.push(line.split_once(' ')?);
+    }
+    None
+}
+
 /// Whether a cache file looks complete: a versioned `ctbia-` header line
 /// and the `end` trailer every trailer-closed schema (cell reports,
 /// verify reports) writes last. Anything else is a torn write.

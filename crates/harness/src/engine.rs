@@ -1,12 +1,14 @@
-//! The sweep engine: a deterministic worker pool over experiment cells.
+//! The grid engine: a deterministic worker pool over cells of any kind.
 //!
-//! [`SweepEngine::run`] takes a grid of [`CellSpec`]s and returns one
-//! [`CellReport`] per cell, **in grid order**. Workers claim cells from a
-//! shared atomic index and write results into the cell's own output slot,
-//! so the merged output never depends on completion order; combined with
-//! cells owning their seeds, a parallel sweep is byte-identical to a serial
-//! one. An optional [`DiskCache`] memoizes completed cells across runs and
-//! across binaries.
+//! [`Engine::run`] takes a grid of [`Cell`]s — simulation [`CellSpec`]s,
+//! or the verification and certification cells of `ctbia-verify` and
+//! `ctbia-analyze` — and returns one report per cell, **in grid order**.
+//! Workers claim cells from a shared atomic index and write results into
+//! the cell's own output slot, so the merged output never depends on
+//! completion order; combined with cells owning their seeds, a parallel
+//! sweep is byte-identical to a serial one. An optional [`DiskCache`]
+//! memoizes completed cells across runs and across binaries, and an
+//! optional [`MemoIndex`] serves warm cells from memory.
 
 use crate::cache::DiskCache;
 use crate::memo::{MemoFill, MemoIndex, MemoProvenance};
@@ -133,38 +135,93 @@ pub fn execute_cell_traced<S: TraceSink + 'static>(
     ))
 }
 
+/// One kind of grid cell the [`Engine`] runs and memoizes: a simulation
+/// [`CellSpec`], or a verification or certification cell built on one.
+///
+/// Each kind writes its own versioned, `end`-trailer-closed cache text,
+/// so all kinds share one [`DiskCache`] without colliding.
+pub trait Cell: Sync {
+    /// What executing the cell produces.
+    type Report: Clone + Send;
+
+    /// 128-bit content digest of everything that determines the report.
+    fn digest(&self) -> u128;
+
+    /// Computes the report from scratch — a pure function of the cell.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the cell when it cannot run (e.g. an
+    /// infeasible machine configuration).
+    fn execute(&self) -> Result<Self::Report, String>;
+
+    /// Encodes a report in the kind's versioned cache text.
+    fn encode(report: &Self::Report) -> String;
+
+    /// Decodes cache text; any anomaly yields `None`, a cache miss.
+    fn decode(text: &str) -> Option<Self::Report>;
+
+    /// The disk cache key: the digest as 32 lowercase hex digits.
+    fn digest_hex(&self) -> String {
+        format!("{:032x}", self.digest())
+    }
+}
+
+impl Cell for CellSpec {
+    type Report = CellReport;
+
+    fn digest(&self) -> u128 {
+        CellSpec::digest(self)
+    }
+
+    fn execute(&self) -> Result<CellReport, String> {
+        execute_cell(self)
+    }
+
+    fn encode(report: &CellReport) -> String {
+        report.to_cache_text()
+    }
+
+    fn decode(text: &str) -> Option<CellReport> {
+        CellReport::from_cache_text(text)
+    }
+}
+
 /// The result of resolving one cell, with its provenance: whether the
-/// report was served from the memo cache or freshly simulated.
+/// report was served from the memo cache or freshly executed.
 ///
 /// Long-running callers (the `ctbia-serve` daemon, `ctbia submit`) surface
 /// the flag to their clients; batch callers that only want the report can
-/// keep using [`SweepEngine::run`].
+/// keep using [`Engine::run`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CellOutcome {
-    /// The cell's report — identical whether cached or simulated.
-    pub report: CellReport,
-    /// `true` when the report came from the memo cache without simulating.
+pub struct CellOutcome<R = CellReport> {
+    /// The cell's report — identical whether cached or executed.
+    pub report: R,
+    /// `true` when the report came from the memo cache without executing.
     pub cached: bool,
 }
 
 /// A worker pool plus optional memo cache for running cell grids.
 #[derive(Debug)]
-pub struct SweepEngine {
+pub struct Engine<C: Cell> {
     threads: usize,
     cache: Option<DiskCache>,
-    memo: Option<Arc<MemoIndex>>,
+    memo: Option<Arc<MemoIndex<C::Report>>>,
     executed: AtomicU64,
     cache_hits: AtomicU64,
     memo_hits: AtomicU64,
     store_failures: AtomicU64,
 }
 
-impl SweepEngine {
+/// The engine over simulation cells.
+pub type SweepEngine = Engine<CellSpec>;
+
+impl<C: Cell> Engine<C> {
     /// An engine sized from [`std::thread::available_parallelism`], with no
     /// cache.
     pub fn new() -> Self {
         let threads = thread::available_parallelism().map_or(1, |n| n.get());
-        SweepEngine {
+        Engine {
             threads,
             cache: None,
             memo: None,
@@ -178,7 +235,7 @@ impl SweepEngine {
     /// A single-threaded engine with no cache — the reference ordering the
     /// parallel pool must reproduce byte-for-byte.
     pub fn serial() -> Self {
-        SweepEngine::new().with_threads(1)
+        Engine::new().with_threads(1)
     }
 
     /// Overrides the worker count (clamped to at least 1).
@@ -189,7 +246,7 @@ impl SweepEngine {
     }
 
     /// Attaches a memo cache: completed cells are stored, and matching
-    /// cells are served from disk without touching the simulator.
+    /// cells are served from disk without executing.
     #[must_use]
     pub fn with_cache(mut self, cache: DiskCache) -> Self {
         self.cache = Some(cache);
@@ -203,9 +260,9 @@ impl SweepEngine {
     ///
     /// Only durable results (disk store succeeded, or no cache attached)
     /// are indexed, so a failed store still costs exactly one future
-    /// re-simulation.
+    /// re-execution.
     #[must_use]
-    pub fn with_memo_index(mut self, memo: Arc<MemoIndex>) -> Self {
+    pub fn with_memo_index(mut self, memo: Arc<MemoIndex<C::Report>>) -> Self {
         self.memo = Some(memo);
         self
     }
@@ -220,12 +277,12 @@ impl SweepEngine {
         self.cache.as_ref()
     }
 
-    /// Cells this engine actually simulated (cache hits excluded).
+    /// Cells this engine actually executed (cache hits excluded).
     pub fn cells_executed(&self) -> u64 {
         self.executed.load(Ordering::Relaxed)
     }
 
-    /// Cells this engine served from the cache.
+    /// Cells this engine served from the disk cache.
     pub fn cache_hits(&self) -> u64 {
         self.cache_hits.load(Ordering::Relaxed)
     }
@@ -235,91 +292,69 @@ impl SweepEngine {
         self.memo_hits.load(Ordering::Relaxed)
     }
 
-    /// The attached memo index, if any.
-    pub fn memo_index(&self) -> Option<&Arc<MemoIndex>> {
-        self.memo.as_ref()
-    }
-
     /// Memo-cache stores that failed. Each failure costs a future
-    /// re-simulation, never correctness, but a serving front end surfaces
+    /// re-execution, never correctness, but a serving front end surfaces
     /// the count so a sick disk is visible instead of silent.
     pub fn cache_store_failures(&self) -> u64 {
         self.store_failures.load(Ordering::Relaxed)
     }
 
-    /// Runs one cell: cache lookup, then simulation on a miss, then a
-    /// best-effort store (a failed store costs a future re-simulation, not
-    /// correctness).
+    /// Runs one cell: memo lookup, then disk lookup, then execution on a
+    /// miss, then a best-effort store.
     ///
     /// # Errors
     ///
-    /// Propagates [`execute_cell`] errors.
-    pub fn run_cell(&self, spec: &CellSpec) -> Result<CellReport, String> {
-        self.run_cell_outcome(spec).map(|o| o.report)
+    /// Propagates [`Cell::execute`] errors.
+    pub fn run_cell(&self, cell: &C) -> Result<C::Report, String> {
+        self.run_cell_outcome(cell).map(|o| o.report)
     }
 
-    /// Like [`SweepEngine::run_cell`], but also reports whether the cell was
+    /// Like [`Engine::run_cell`], but also reports whether the cell was
     /// served from the memo cache — the provenance a serving front end
     /// forwards to its clients.
     ///
     /// # Errors
     ///
-    /// Propagates [`execute_cell`] errors.
-    pub fn run_cell_outcome(&self, spec: &CellSpec) -> Result<CellOutcome, String> {
-        if let Some(memo) = &self.memo {
-            let (report, provenance) =
-                memo.get_or_execute(spec.digest(), || self.fill_from_disk_or_simulate(spec))?;
-            match provenance {
-                MemoProvenance::Memory => self.memo_hits.fetch_add(1, Ordering::Relaxed),
-                MemoProvenance::Disk => self.cache_hits.fetch_add(1, Ordering::Relaxed),
-                MemoProvenance::Simulated => self.executed.fetch_add(1, Ordering::Relaxed),
-            };
-            return Ok(CellOutcome {
-                report,
-                cached: provenance != MemoProvenance::Simulated,
-            });
-        }
-        let key = spec.digest_hex();
-        if let Some(cache) = &self.cache {
-            if let Some(hit) = cache.load(&key) {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(CellOutcome {
-                    report: hit,
-                    cached: true,
-                });
+    /// Propagates [`Cell::execute`] errors.
+    pub fn run_cell_outcome(&self, cell: &C) -> Result<CellOutcome<C::Report>, String> {
+        let (report, provenance) = match &self.memo {
+            Some(memo) => memo.get_or_execute(cell.digest(), || self.fill(cell))?,
+            None => {
+                let fill = self.fill(cell)?;
+                let provenance = fill.provenance();
+                (fill.report, provenance)
             }
-        }
-        let report = execute_cell(spec)?;
-        self.executed.fetch_add(1, Ordering::Relaxed);
-        if let Some(cache) = &self.cache {
-            if cache.store(&key, &report).is_err() {
-                self.store_failures.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        };
+        let counter = match provenance {
+            MemoProvenance::Memory => &self.memo_hits,
+            MemoProvenance::Disk => &self.cache_hits,
+            MemoProvenance::Simulated => &self.executed,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         Ok(CellOutcome {
             report,
-            cached: false,
+            cached: provenance != MemoProvenance::Simulated,
         })
     }
 
-    /// The executor closure behind the memo index: disk lookup, then
-    /// simulation, then a best-effort store whose outcome decides whether
-    /// the result is durable enough to index.
-    fn fill_from_disk_or_simulate(&self, spec: &CellSpec) -> Result<MemoFill, String> {
-        let key = spec.digest_hex();
+    /// The one lookup → execute → store routine: disk lookup, then
+    /// execution on a miss, then a best-effort store whose outcome decides
+    /// whether the result is durable enough for the memo index.
+    fn fill(&self, cell: &C) -> Result<MemoFill<C::Report>, String> {
+        let key = cell.digest_hex();
         if let Some(cache) = &self.cache {
-            if let Some(hit) = cache.load(&key) {
+            if let Some(report) = cache.load_text(&key).as_deref().and_then(C::decode) {
                 return Ok(MemoFill {
-                    report: hit,
+                    report,
                     from_disk: true,
                     durable: true,
                 });
             }
         }
-        let report = execute_cell(spec)?;
+        let report = cell.execute()?;
         let durable = match &self.cache {
             Some(cache) => {
-                let stored = cache.store(&key, &report).is_ok();
+                let stored = cache.store_text(&key, &C::encode(&report)).is_ok();
                 if !stored {
                     self.store_failures.fetch_add(1, Ordering::Relaxed);
                 }
@@ -342,7 +377,7 @@ impl SweepEngine {
     ///
     /// Returns the error of the lowest-indexed failing cell; the sweep does
     /// not short-circuit cells already claimed by other workers.
-    pub fn run(&self, cells: &[CellSpec]) -> Result<Vec<CellReport>, String> {
+    pub fn run(&self, cells: &[C]) -> Result<Vec<C::Report>, String> {
         self.run_batch(cells)
             .into_iter()
             .map(|r| r.map(|o| o.report))
@@ -354,18 +389,17 @@ impl SweepEngine {
     /// short-circuiting on failures. A serving front end uses this to
     /// answer each request in a batch independently — one infeasible cell
     /// yields one typed error, not a failed batch.
-    pub fn run_batch(&self, cells: &[CellSpec]) -> Vec<Result<CellOutcome, String>> {
+    pub fn run_batch(&self, cells: &[C]) -> Vec<Result<CellOutcome<C::Report>, String>> {
         let n = cells.len();
         let workers = self.threads.min(n.max(1));
         if workers <= 1 {
             return cells
                 .iter()
-                .map(|spec| self.run_cell_outcome(spec))
+                .map(|cell| self.run_cell_outcome(cell))
                 .collect();
         }
         let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<Result<CellOutcome, String>>>> =
-            Mutex::new((0..n).map(|_| None).collect());
+        let slots: Mutex<Vec<Option<_>>> = Mutex::new((0..n).map(|_| None).collect());
         thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(|| loop {
@@ -387,9 +421,9 @@ impl SweepEngine {
     }
 }
 
-impl Default for SweepEngine {
+impl<C: Cell> Default for Engine<C> {
     fn default() -> Self {
-        SweepEngine::new()
+        Engine::new()
     }
 }
 

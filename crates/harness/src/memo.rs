@@ -2,10 +2,11 @@
 //!
 //! The serve daemon's warm path used to funnel every lookup through the
 //! filesystem (one `open`+`read` per hit) and every coalescing decision
-//! through a single global map. [`MemoIndex`] keeps completed
-//! [`CellReport`]s in memory, sharded by the **top bits of the cell
-//! digest** so concurrent warm lookups land on independent locks instead
-//! of contending on one global mutex.
+//! through a single global map. [`MemoIndex`] keeps completed reports
+//! (a [`CellReport`] by default; any [`Cell`](crate::Cell) report type
+//! for the generic [`Engine`](crate::Engine)) in memory, sharded by the
+//! **top bits of the cell digest** so concurrent warm lookups land on
+//! independent locks instead of contending on one global mutex.
 //!
 //! Invariants the shards maintain:
 //!
@@ -36,15 +37,16 @@ pub enum MemoProvenance {
     Memory,
     /// The executor closure loaded it from the disk cache.
     Disk,
-    /// The executor closure simulated it from scratch.
+    /// The executor closure executed the cell from scratch (simulated,
+    /// verified or certified it).
     Simulated,
 }
 
 /// What an executor closure hands back to [`MemoIndex::get_or_execute`].
 #[derive(Debug, Clone)]
-pub struct MemoFill {
+pub struct MemoFill<R = CellReport> {
     /// The completed report.
-    pub report: CellReport,
+    pub report: R,
     /// `true` when the report was loaded from the disk cache rather than
     /// simulated.
     pub from_disk: bool,
@@ -54,27 +56,51 @@ pub struct MemoFill {
     pub durable: bool,
 }
 
-#[derive(Debug, Default)]
-struct ShardState {
-    ready: HashMap<u128, CellReport>,
+impl<R> MemoFill<R> {
+    /// Where the executor got the report: the disk cache or a fresh
+    /// execution.
+    pub(crate) fn provenance(&self) -> MemoProvenance {
+        if self.from_disk {
+            MemoProvenance::Disk
+        } else {
+            MemoProvenance::Simulated
+        }
+    }
+}
+
+#[derive(Debug)]
+struct ShardState<R> {
+    ready: HashMap<u128, R>,
     pending: HashSet<u128>,
 }
 
-#[derive(Debug, Default)]
-struct Shard {
-    state: Mutex<ShardState>,
+#[derive(Debug)]
+struct Shard<R> {
+    state: Mutex<ShardState<R>>,
     cv: Condvar,
+}
+
+impl<R> Shard<R> {
+    fn new() -> Self {
+        Shard {
+            state: Mutex::new(ShardState {
+                ready: HashMap::new(),
+                pending: HashSet::new(),
+            }),
+            cv: Condvar::new(),
+        }
+    }
 }
 
 /// Clears a digest's pending claim when the executor finishes — or
 /// unwinds. Without this, a panicking executor would leave its digest
 /// claimed forever and every waiter would block.
-struct PendingGuard<'a> {
-    shard: &'a Shard,
+struct PendingGuard<'a, R> {
+    shard: &'a Shard<R>,
     digest: u128,
 }
 
-impl Drop for PendingGuard<'_> {
+impl<R> Drop for PendingGuard<'_, R> {
     fn drop(&mut self) {
         let mut state = self.shard.state.lock().unwrap();
         state.pending.remove(&self.digest);
@@ -85,16 +111,16 @@ impl Drop for PendingGuard<'_> {
 
 /// The sharded in-memory memo index. See the module docs for invariants.
 #[derive(Debug)]
-pub struct MemoIndex {
-    shards: Vec<Shard>,
+pub struct MemoIndex<R = CellReport> {
+    shards: Vec<Shard<R>>,
 }
 
-impl MemoIndex {
+impl<R: Clone> MemoIndex<R> {
     /// An index with `shards` independent locks (clamped to at least 1).
     pub fn new(shards: usize) -> Self {
         let shards = shards.max(1);
         MemoIndex {
-            shards: (0..shards).map(|_| Shard::default()).collect(),
+            shards: (0..shards).map(|_| Shard::new()).collect(),
         }
     }
 
@@ -112,7 +138,7 @@ impl MemoIndex {
     }
 
     /// Looks up a digest without executing anything.
-    pub fn lookup(&self, digest: u128) -> Option<CellReport> {
+    pub fn lookup(&self, digest: u128) -> Option<R> {
         let shard = &self.shards[self.shard_of(digest)];
         let state = shard.state.lock().unwrap();
         state.ready.get(&digest).cloned()
@@ -120,7 +146,7 @@ impl MemoIndex {
 
     /// Inserts a completed report directly (used by tests and warm-up
     /// paths that already hold a durable report).
-    pub fn insert(&self, digest: u128, report: CellReport) {
+    pub fn insert(&self, digest: u128, report: R) {
         let shard = &self.shards[self.shard_of(digest)];
         let mut state = shard.state.lock().unwrap();
         state.ready.insert(digest, report);
@@ -150,13 +176,9 @@ impl MemoIndex {
     /// # Errors
     ///
     /// Propagates the executor closure's error to the caller that ran it.
-    pub fn get_or_execute<F>(
-        &self,
-        digest: u128,
-        exec: F,
-    ) -> Result<(CellReport, MemoProvenance), String>
+    pub fn get_or_execute<F>(&self, digest: u128, exec: F) -> Result<(R, MemoProvenance), String>
     where
-        F: FnOnce() -> Result<MemoFill, String>,
+        F: FnOnce() -> Result<MemoFill<R>, String>,
     {
         let shard = &self.shards[self.shard_of(digest)];
         let mut state = shard.state.lock().unwrap();
@@ -179,11 +201,7 @@ impl MemoIndex {
         // The guard's drop clears the pending claim and wakes waiters,
         // which now find the ready entry (or re-claim after a failure).
         drop(guard);
-        let provenance = if fill.from_disk {
-            MemoProvenance::Disk
-        } else {
-            MemoProvenance::Simulated
-        };
+        let provenance = fill.provenance();
         Ok((fill.report, provenance))
     }
 }
@@ -229,7 +247,7 @@ mod tests {
 
     #[test]
     fn shard_of_is_a_prefix_partition() {
-        let index = MemoIndex::new(16);
+        let index = MemoIndex::<CellReport>::new(16);
         // Equal prefixes land on equal shards regardless of the low bits.
         let a = 0xdead_beef_u128 << 96 | 1;
         let b = 0xdead_beef_u128 << 96 | 0xffff_ffff;

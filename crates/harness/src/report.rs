@@ -8,6 +8,7 @@
 //! trailer so truncated or corrupt files parse to `None` (a cache miss)
 //! instead of a wrong result.
 
+use crate::cache::cache_records;
 use crate::digest::SCHEMA_VERSION;
 use ctbia_machine::Counters;
 use std::collections::HashMap;
@@ -147,20 +148,10 @@ impl CellReport {
     /// version, missing field, unparsable value, missing `end` trailer —
     /// returns `None`, which callers treat as a cache miss.
     pub fn from_cache_text(text: &str) -> Option<CellReport> {
-        let mut lines = text.lines();
-        if lines.next()? != SCHEMA_VERSION {
-            return None;
-        }
         let mut label = None;
         let mut digest = None;
         let mut fields: HashMap<&str, u64> = HashMap::new();
-        let mut closed = false;
-        for line in lines {
-            if line == "end" {
-                closed = true;
-                break;
-            }
-            let (key, value) = line.split_once(' ')?;
+        for (key, value) in cache_records(text, SCHEMA_VERSION)? {
             match key {
                 "label" => label = Some(value.to_string()),
                 "digest" => digest = Some(value.parse().ok()?),
@@ -168,9 +159,6 @@ impl CellReport {
                     fields.insert(key, value.parse().ok()?);
                 }
             }
-        }
-        if !closed {
-            return None;
         }
         let mut c = Counters::default();
         macro_rules! take {

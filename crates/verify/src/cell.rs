@@ -6,16 +6,15 @@
 //! trace-equivalence oracle — and folds the results into a
 //! [`VerifyReport`] with its own versioned text encoding
 //! ([`VERIFY_SCHEMA_VERSION`]), stored in the same content-addressed
-//! [`DiskCache`](ctbia_harness::DiskCache) as simulation cells via the
-//! raw `load_text`/`store_text` API. As with simulation cells, the cache
-//! key covers every input that determines the verdict (the cell digest
-//! plus the seed family), so verification memoizes exactly like
-//! simulation does.
+//! [`DiskCache`](ctbia_harness::DiskCache) as simulation cells. As with
+//! simulation cells, the cache key covers every input that determines
+//! the verdict (the cell digest plus the seed family), so verification
+//! memoizes exactly like simulation does.
 
 use crate::kernels::taint_check;
 use crate::oracle::trace_equivalence;
 use ctbia_core::taint::{LeakKind, LeakViolation};
-use ctbia_harness::{CellSpec, Digest, WorkloadSpec};
+use ctbia_harness::{cache_records, CellSpec, WorkloadSpec};
 use ctbia_machine::Machine;
 use std::fmt;
 
@@ -23,9 +22,10 @@ use std::fmt;
 /// the verifier's semantics change so stale verdicts miss.
 pub const VERIFY_SCHEMA_VERSION: &str = "ctbia-verify-v2";
 
-/// How many violations a report stores verbatim (the count is always
-/// exact; the samples are for display).
-const STORED_VIOLATIONS: usize = 8;
+/// How many violations a verify or analyze report stores verbatim in its
+/// violation block (the count is always exact; the samples are for
+/// display).
+pub const STORED_VIOLATIONS: usize = 8;
 
 /// One verification cell: a simulation cell plus the secret seeds the
 /// oracle draws.
@@ -62,25 +62,10 @@ impl VerifyCell {
     pub fn label(&self) -> String {
         format!("verify:{}", self.spec.label())
     }
-
-    /// The cache key: the underlying cell digest extended with the
-    /// verify schema marker and the seed family.
-    pub fn digest_hex(&self) -> String {
-        let mut d = Digest::new();
-        d.field_str("verify", VERIFY_SCHEMA_VERSION);
-        let cell = self.spec.digest();
-        d.field_u64("cell.hi", (cell >> 64) as u64);
-        d.field_u64("cell.lo", cell as u64);
-        d.field_u64("seeds", self.seeds.len() as u64);
-        for &s in &self.seeds {
-            d.write_u64(s);
-        }
-        d.hex()
-    }
 }
 
 /// The verdict of one verification cell.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VerifyReport {
     /// The cell label at execution time.
     pub label: String,
@@ -136,16 +121,7 @@ impl VerifyReport {
         if let Some(d) = &self.first_divergence {
             out.push_str(&format!("divergence {d}\n"));
         }
-        for v in &self.violations {
-            let kind = leak_kind_tag(v.kind);
-            let addr = v
-                .addr
-                .map_or_else(|| "-".to_string(), |a| format!("{a:#x}"));
-            out.push_str(&format!("viol {kind} {addr} {}\n", v.context));
-            for step in &v.provenance {
-                out.push_str(&format!("prov {step}\n"));
-            }
-        }
+        push_violation_records(&mut out, &self.violations);
         out.push_str("end\n");
         out
     }
@@ -154,28 +130,9 @@ impl VerifyReport {
     /// version, missing field, garbage value, missing `end` trailer —
     /// returns `None` (a cache miss, so the cell re-verifies).
     pub fn from_cache_text(text: &str) -> Option<VerifyReport> {
-        let mut lines = text.lines();
-        if lines.next()? != VERIFY_SCHEMA_VERSION {
-            return None;
-        }
-        let mut report = VerifyReport {
-            label: String::new(),
-            taint_checked: false,
-            outputs_ok: false,
-            leak_violations: 0,
-            violations: Vec::new(),
-            pairs: 0,
-            traces_equal: false,
-            first_divergence: None,
-            obs_digest: 0,
-        };
-        let (mut saw_label, mut closed) = (false, false);
-        for line in lines {
-            if line == "end" {
-                closed = true;
-                break;
-            }
-            let (key, value) = line.split_once(' ')?;
+        let mut report = VerifyReport::default();
+        let mut saw_label = false;
+        for (key, value) in cache_records(text, VERIFY_SCHEMA_VERSION)? {
             match key {
                 "label" => {
                     report.label = value.to_string();
@@ -188,35 +145,15 @@ impl VerifyReport {
                 "traces_equal" => report.traces_equal = parse_flag(value)?,
                 "obs_digest" => report.obs_digest = value.parse().ok()?,
                 "divergence" => report.first_divergence = Some(value.to_string()),
-                "viol" => {
-                    let (kind, rest) = value.split_once(' ')?;
-                    let (addr, context) = rest.split_once(' ')?;
-                    let kind = parse_leak_kind(kind)?;
-                    let addr = match addr {
-                        "-" => None,
-                        hex => Some(u64::from_str_radix(hex.strip_prefix("0x")?, 16).ok()?),
-                    };
-                    report.violations.push(LeakViolation {
-                        kind,
-                        context: context.to_string(),
-                        addr,
-                        provenance: Vec::new(),
-                    });
-                }
-                "prov" => report
-                    .violations
-                    .last_mut()?
-                    .provenance
-                    .push(value.to_string()),
-                _ => return None,
+                _ => parse_violation_record(&mut report.violations, key, value)?,
             }
         }
-        (closed && saw_label).then_some(report)
+        saw_label.then_some(report)
     }
 }
 
 /// Stable one-token cache-text tag for a [`LeakKind`], shared by the
-/// `ctbia-verify-v1` and `ctbia-analyze-v1` report encodings.
+/// `ctbia-verify-v2` and `ctbia-analyze-v1` report encodings.
 pub fn leak_kind_tag(kind: LeakKind) -> &'static str {
     match kind {
         LeakKind::RawAddress => "raw-addr",
@@ -244,7 +181,53 @@ pub fn parse_leak_kind(tag: &str) -> Option<LeakKind> {
     })
 }
 
-fn parse_flag(value: &str) -> Option<bool> {
+/// Appends the violation block of a report's cache text: one
+/// `viol <kind> <addr|-> <context>` record per violation, each followed
+/// by one `prov <step>` record per provenance step.
+pub fn push_violation_records(out: &mut String, violations: &[LeakViolation]) {
+    for v in violations {
+        let kind = leak_kind_tag(v.kind);
+        let addr = v
+            .addr
+            .map_or_else(|| "-".to_string(), |a| format!("{a:#x}"));
+        out.push_str(&format!("viol {kind} {addr} {}\n", v.context));
+        for step in &v.provenance {
+            out.push_str(&format!("prov {step}\n"));
+        }
+    }
+}
+
+/// Decodes one record of the violation block written by
+/// [`push_violation_records`] onto `violations`. `None` — a cache miss —
+/// for a malformed record, a `prov` before any `viol`, or any other key.
+pub fn parse_violation_record(
+    violations: &mut Vec<LeakViolation>,
+    key: &str,
+    value: &str,
+) -> Option<()> {
+    match key {
+        "viol" => {
+            let (kind, rest) = value.split_once(' ')?;
+            let (addr, context) = rest.split_once(' ')?;
+            let addr = match addr {
+                "-" => None,
+                hex => Some(u64::from_str_radix(hex.strip_prefix("0x")?, 16).ok()?),
+            };
+            violations.push(LeakViolation {
+                kind: parse_leak_kind(kind)?,
+                context: context.to_string(),
+                addr,
+                provenance: Vec::new(),
+            });
+        }
+        "prov" => violations.last_mut()?.provenance.push(value.to_string()),
+        _ => return None,
+    }
+    Some(())
+}
+
+/// Decodes a `0`/`1` cache-text flag.
+pub fn parse_flag(value: &str) -> Option<bool> {
     match value {
         "0" => Some(false),
         "1" => Some(true),
@@ -324,7 +307,7 @@ pub fn execute_verify_cell(cell: &VerifyCell) -> Result<VerifyReport, String> {
 mod tests {
     use super::*;
     use ctbia_core::taint::Taint;
-    use ctbia_harness::StrategySpec;
+    use ctbia_harness::{Cell, StrategySpec};
     use ctbia_machine::BiaPlacement;
 
     fn cell(name: &str, size: usize, strategy: StrategySpec, seeds: &[u64]) -> VerifyCell {

@@ -1,151 +1,48 @@
-//! The verification engine: the sweep-engine pattern over
-//! [`VerifyCell`]s, plus the canonical verification grids.
+//! Verification cells on the harness grid engine, plus the canonical
+//! verification grids.
 //!
-//! [`VerifyEngine`] mirrors `ctbia_harness::SweepEngine` exactly —
-//! workers claim cells from a shared atomic index, results land in
-//! grid-order slots so parallel output is byte-identical to serial, and
-//! an optional [`DiskCache`] memoizes completed verdicts under the
-//! cell's content digest (using the cache's raw text API with the
-//! verifier's own [`VERIFY_SCHEMA_VERSION`](crate::cell::VERIFY_SCHEMA_VERSION)
+//! [`VerifyEngine`] is the one `ctbia_harness::Engine` over
+//! [`VerifyCell`]s: verdicts memoize under the cell's content digest in
+//! the verifier's own
+//! [`VERIFY_SCHEMA_VERSION`](crate::cell::VERIFY_SCHEMA_VERSION)
 //! encoding, so verify cells and simulation cells share one store
-//! without colliding).
+//! without colliding.
 
-use crate::cell::{execute_verify_cell, VerifyCell, VerifyReport};
-use ctbia_harness::{CellSpec, CryptoKernel, DiskCache, StrategySpec, WorkloadSpec};
+use crate::cell::{execute_verify_cell, VerifyCell, VerifyReport, VERIFY_SCHEMA_VERSION};
+use ctbia_harness::{Cell, CellSpec, CryptoKernel, Digest, Engine, StrategySpec, WorkloadSpec};
 use ctbia_machine::BiaPlacement;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::thread;
 
-/// A worker pool plus optional memo cache for running verification
-/// grids.
-#[derive(Debug)]
-pub struct VerifyEngine {
-    threads: usize,
-    cache: Option<DiskCache>,
-    executed: AtomicU64,
-    cache_hits: AtomicU64,
-}
+/// The grid engine over verification cells.
+pub type VerifyEngine = Engine<VerifyCell>;
 
-impl VerifyEngine {
-    /// An engine sized from [`std::thread::available_parallelism`], with
-    /// no cache.
-    pub fn new() -> Self {
-        let threads = thread::available_parallelism().map_or(1, |n| n.get());
-        VerifyEngine {
-            threads,
-            cache: None,
-            executed: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
+impl Cell for VerifyCell {
+    type Report = VerifyReport;
+
+    /// The underlying cell digest extended with the verify schema marker
+    /// and the seed family.
+    fn digest(&self) -> u128 {
+        let mut d = Digest::new();
+        d.field_str("verify", VERIFY_SCHEMA_VERSION);
+        let cell = self.spec.digest();
+        d.field_u64("cell.hi", (cell >> 64) as u64);
+        d.field_u64("cell.lo", cell as u64);
+        d.field_u64("seeds", self.seeds.len() as u64);
+        for &s in &self.seeds {
+            d.write_u64(s);
         }
+        d.finish()
     }
 
-    /// A single-threaded engine with no cache — the reference ordering
-    /// the parallel pool must reproduce byte-for-byte.
-    pub fn serial() -> Self {
-        VerifyEngine::new().with_threads(1)
+    fn execute(&self) -> Result<VerifyReport, String> {
+        execute_verify_cell(self)
     }
 
-    /// Overrides the worker count (clamped to at least 1).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
+    fn encode(report: &VerifyReport) -> String {
+        report.to_cache_text()
     }
 
-    /// Attaches a memo cache for completed verdicts.
-    #[must_use]
-    pub fn with_cache(mut self, cache: DiskCache) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The attached cache, if any.
-    pub fn cache(&self) -> Option<&DiskCache> {
-        self.cache.as_ref()
-    }
-
-    /// Cells this engine actually verified (cache hits excluded).
-    pub fn cells_executed(&self) -> u64 {
-        self.executed.load(Ordering::Relaxed)
-    }
-
-    /// Cells this engine served from the cache.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Runs one cell: cache lookup, then verification on a miss, then a
-    /// best-effort store.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`execute_verify_cell`] errors.
-    pub fn run_cell(&self, cell: &VerifyCell) -> Result<VerifyReport, String> {
-        let key = cell.digest_hex();
-        if let Some(cache) = &self.cache {
-            if let Some(hit) = cache
-                .load_text(&key)
-                .as_deref()
-                .and_then(VerifyReport::from_cache_text)
-            {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(hit);
-            }
-        }
-        let report = execute_verify_cell(cell)?;
-        self.executed.fetch_add(1, Ordering::Relaxed);
-        if let Some(cache) = &self.cache {
-            let _ = cache.store_text(&key, &report.to_cache_text());
-        }
-        Ok(report)
-    }
-
-    /// Runs every cell of `cells`, returning reports **ordered by grid
-    /// index** regardless of worker scheduling.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the lowest-indexed failing cell; the sweep
-    /// does not short-circuit cells already claimed by other workers.
-    pub fn run(&self, cells: &[VerifyCell]) -> Result<Vec<VerifyReport>, String> {
-        let n = cells.len();
-        let workers = self.threads.min(n.max(1));
-        if workers <= 1 {
-            return cells.iter().map(|cell| self.run_cell(cell)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<Result<VerifyReport, String>>>> =
-            Mutex::new((0..n).map(|_| None).collect());
-        thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let result = self.run_cell(&cells[i]);
-                    slots.lock().unwrap()[i] = Some(result);
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .unwrap()
-            .into_iter()
-            .map(|slot| slot.expect("worker pool covered every cell"))
-            .collect()
-    }
-}
-
-impl Default for VerifyEngine {
-    fn default() -> Self {
-        VerifyEngine::new()
+    fn decode(text: &str) -> Option<VerifyReport> {
+        VerifyReport::from_cache_text(text)
     }
 }
 
@@ -251,59 +148,6 @@ pub fn verify_grid(quick: bool) -> Vec<VerifyCell> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny_grid() -> Vec<VerifyCell> {
-        let seeds = verify_seeds(true);
-        let mut cells: Vec<VerifyCell> = [("hist", 150), ("perm", 120), ("bin", 200)]
-            .iter()
-            .map(|&(name, size)| {
-                VerifyCell::new(
-                    CellSpec::new(
-                        WorkloadSpec::named(name, size).unwrap(),
-                        StrategySpec::Ct,
-                        BiaPlacement::L1d,
-                    ),
-                    seeds.clone(),
-                )
-            })
-            .collect();
-        cells.push(VerifyCell::new(
-            CellSpec::new(
-                WorkloadSpec::named("leaky-bin", 150).unwrap(),
-                StrategySpec::Insecure,
-                BiaPlacement::L1d,
-            ),
-            seeds,
-        ));
-        cells
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        let grid = tiny_grid();
-        let serial = VerifyEngine::serial().run(&grid).unwrap();
-        let parallel = VerifyEngine::new().with_threads(4).run(&grid).unwrap();
-        assert_eq!(serial, parallel);
-        for (cell, report) in grid.iter().zip(&serial) {
-            assert!(report.passed(cell.expects_leak()), "{report}");
-        }
-    }
-
-    #[test]
-    fn verdicts_memoize() {
-        let dir = std::env::temp_dir().join(format!("ctbia-verify-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = DiskCache::open(&dir).unwrap();
-        let grid = tiny_grid();
-        let first = VerifyEngine::serial().with_cache(cache).run(&grid).unwrap();
-
-        let engine = VerifyEngine::serial().with_cache(DiskCache::open(&dir).unwrap());
-        let second = engine.run(&grid).unwrap();
-        assert_eq!(first, second, "cached verdicts replay byte-identically");
-        assert_eq!(engine.cells_executed(), 0);
-        assert_eq!(engine.cache_hits(), grid.len() as u64);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 
     #[test]
     fn ct_workloads_trace_identically_across_eight_pairs() {

@@ -24,16 +24,21 @@
 //!    byte-identical across all of them.
 //!
 //! [`cell`] and [`engine`] package the two analyses as memoizing grid
-//! cells, exactly like the simulation sweep: [`verify_grid`] is the
-//! canonical coverage grid (all five workloads × software CT, BIA, and
-//! BIA-loads × all placements, the crypto kernels, and an intentionally
-//! leaky negative control that must fail *both* analyses), and
-//! [`VerifyEngine`] runs it in parallel with on-disk verdict caching.
+//! cells of the same harness engine the simulation sweep runs on:
+//! [`verify_grid`] is the canonical coverage grid (all five workloads ×
+//! software CT, BIA, and BIA-loads × all placements, the crypto kernels,
+//! an intentionally leaky negative control that must fail *both*
+//! analyses, and the Spectre gadget with and without a wrong-path
+//! window), and [`VerifyEngine`] runs it in parallel with on-disk
+//! verdict caching.
 //!
-//! The verifier models the *memory-system* side channel only: there is
-//! no speculation model, and timing is covered indirectly (the cost
-//! model is a deterministic function of the observation trace). See
-//! `DESIGN.md` §10 for the precise claims and their limits.
+//! The verifier models the *memory-system* side channel only. Transient
+//! execution is covered by the machine's bounded speculation model
+//! (`spec_window > 0`: mispredicted branches fill the caches along a
+//! wrong path before the squash; `DESIGN.md` §17), and timing is covered
+//! indirectly (the cost model is a deterministic function of the
+//! observation trace). See `DESIGN.md` §10 for the precise claims and
+//! their limits.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,8 +52,8 @@ pub mod oracle;
 pub mod table;
 
 pub use cell::{
-    execute_verify_cell, leak_kind_tag, parse_leak_kind, VerifyCell, VerifyReport,
-    VERIFY_SCHEMA_VERSION,
+    execute_verify_cell, leak_kind_tag, parse_flag, parse_leak_kind, parse_violation_record,
+    push_violation_records, VerifyCell, VerifyReport, STORED_VIOLATIONS, VERIFY_SCHEMA_VERSION,
 };
 pub use engine::{verify_grid, verify_seeds, VerifyEngine};
 pub use kernels::{run_mirror, taint_check, TaintOutcome};

@@ -7,7 +7,9 @@
 # Steps, in order (fail fast):
 #   1. cargo fmt --check      -- formatting is canonical
 #   2. cargo clippy -D warnings, all targets (tests, benches, examples)
-#   3. cargo build --release  -- the release artifacts build
+#   3. cargo build --release  -- the release artifacts build, and so does
+#                                perfbench (its own workspace, so the
+#                                workspace build never compiles it)
 #   4. cargo test -q          -- the full unit/property/integration suite
 #   5. cargo bench --no-run   -- the criterion microbenches still compile
 #   6. golden-trace suite     -- regenerated JSONL traces byte-match the
@@ -66,6 +68,7 @@ run() {
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo build --workspace --release
+run cargo build --release --offline --manifest-path perfbench/Cargo.toml
 run cargo test --workspace -q
 run cargo bench --workspace --no-run
 

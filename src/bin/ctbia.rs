@@ -20,9 +20,10 @@ use ctbia::analyze::{analyze_grid, AnalyzeCell, AnalyzeEngine, AnalyzeReport};
 use ctbia::attacks::{empirical_leakage_bits, set_access_profiles, PrimeProbe};
 use ctbia::core::ctmem::Width;
 use ctbia::core::ds::DataflowSet;
+use ctbia::core::taint::LeakViolation;
 use ctbia::harness::{
-    counter_fields, execute_cell_traced, CellReport, CellSpec, CryptoKernel, DiskCache, FaultSpec,
-    StrategySpec, SweepEngine, WorkloadSpec,
+    counter_fields, execute_cell_traced, Cell, CellReport, CellSpec, CryptoKernel, DiskCache,
+    Engine, FaultSpec, StrategySpec, SweepEngine, WorkloadSpec,
 };
 use ctbia::machine::{BiaPlacement, Machine};
 use ctbia::serve::{
@@ -173,7 +174,7 @@ fn parse_size(s: &str) -> Result<usize, String> {
 /// Attaches the default `results/cache/` memo cache; if the directory
 /// cannot be created (read-only checkout, say) the engine simply runs
 /// uncached.
-fn attach_default_cache(engine: SweepEngine) -> SweepEngine {
+fn attach_default_cache<C: Cell>(engine: Engine<C>) -> Engine<C> {
     match DiskCache::open_default() {
         Ok(cache) => engine.with_cache(cache),
         Err(_) => engine,
@@ -972,28 +973,23 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Attaches the default memo cache to a verify engine, mirroring
-/// [`attach_default_cache`].
-fn attach_verify_cache(engine: VerifyEngine) -> VerifyEngine {
-    match DiskCache::open_default() {
-        Ok(cache) => engine.with_cache(cache),
-        Err(_) => engine,
+/// Prints the first stored violations of a verdict, then how many of the
+/// `total` found are not shown.
+fn print_violations(violations: &[LeakViolation], total: u64) {
+    for v in violations.iter().take(3) {
+        // LeakViolation's Display already renders the provenance chain.
+        println!("    {v}");
+    }
+    let stored = violations.len() as u64;
+    if total > stored {
+        println!("    ... and {} more violation(s)", total - stored);
     }
 }
 
 /// Prints one verify verdict with its evidence: sampled violations with
 /// their provenance chains, and the first trace divergence.
 fn print_verify_evidence(report: &VerifyReport) {
-    for v in report.violations.iter().take(3) {
-        // LeakViolation's Display already renders the provenance chain.
-        println!("    {v}");
-    }
-    if report.leak_violations > report.violations.len() as u64 {
-        println!(
-            "    ... and {} more violation(s)",
-            report.leak_violations - report.violations.len() as u64
-        );
-    }
+    print_violations(&report.violations, report.leak_violations);
     if let Some(d) = &report.first_divergence {
         println!("    trace divergence: {d}");
     }
@@ -1057,7 +1053,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
             spec.config.spec_window = w;
         }
         let cell = VerifyCell::new(spec, verify_seeds(quick));
-        let engine = attach_verify_cache(VerifyEngine::serial());
+        let engine = attach_default_cache(VerifyEngine::serial());
         let report = engine.run_cell(&cell)?;
         println!("{report}");
         if !report.clean() {
@@ -1075,7 +1071,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     if let Some(n) = threads {
         engine = engine.with_threads(n);
     }
-    let engine = attach_verify_cache(engine);
+    let engine = attach_default_cache(engine);
     println!(
         "verify sweep: {} cells, {} secret pairs each, {} worker(s)",
         grid.len(),
@@ -1119,28 +1115,10 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Attaches the default memo cache to an analyze engine, mirroring
-/// [`attach_verify_cache`].
-fn attach_analyze_cache(engine: AnalyzeEngine) -> AnalyzeEngine {
-    match DiskCache::open_default() {
-        Ok(cache) => engine.with_cache(cache),
-        Err(_) => engine,
-    }
-}
-
 /// Prints one certification verdict's evidence: sampled violations with
 /// their provenance chains and the abstract leakage bound.
 fn print_analyze_evidence(report: &AnalyzeReport) {
-    for v in report.violations.iter().take(3) {
-        // LeakViolation's Display already renders the provenance chain.
-        println!("    {v}");
-    }
-    if report.violation_count > report.violations.len() as u64 {
-        println!(
-            "    ... and {} more violation(s)",
-            report.violation_count - report.violations.len() as u64
-        );
-    }
+    print_violations(&report.violations, report.violation_count);
     if report.trace_millibits > 0 {
         println!(
             "    abstract bound: <= {}.{:03} bit(s) through the monitored cache",
@@ -1195,7 +1173,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         let size = size.unwrap_or_else(|| default_size(&name).min(500));
         let spec = CellSpec::new(WorkloadSpec::named(&name, size)?, strategy, placement);
         let cell = AnalyzeCell::new(spec);
-        let engine = attach_analyze_cache(AnalyzeEngine::serial());
+        let engine = attach_default_cache(AnalyzeEngine::serial());
         let report = engine.run_cell(&cell)?;
         println!("{report}");
         if !report.certified() {
@@ -1211,7 +1189,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     if let Some(n) = threads {
         engine = engine.with_threads(n);
     }
-    let engine = attach_analyze_cache(engine);
+    let engine = attach_default_cache(engine);
     println!(
         "analyze sweep: {} cells, {} worker(s)",
         grid.len(),
