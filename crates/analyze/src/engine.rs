@@ -4,7 +4,7 @@
 //! [`AnalyzeEngine`] is the one `ctbia_harness::Engine` over
 //! [`AnalyzeCell`]s: verdicts memoize under the cell's content digest in
 //! the analyzer's own
-//! [`ANALYZE_SCHEMA_VERSION`](crate::cell::ANALYZE_SCHEMA_VERSION)
+//! [`ANALYZE_SCHEMA_VERSION`]
 //! encoding, so analyze, verify, and simulation cells share one store
 //! without colliding.
 

@@ -8,11 +8,11 @@
 //!    against a recording backend. Public values compute concretely;
 //!    every secret is replaced by a *poisoned* symbolic payload that
 //!    panics the moment it would be observed concretely, so the
-//!    extracted [`AccessProgram`](ir::AccessProgram) provably depends
+//!    extracted [`AccessProgram`] provably depends
 //!    only on public inputs. A secret reaching native control flow
 //!    aborts extraction with a recorded cause — itself a certification
 //!    failure.
-//! 2. **Lint** ([`lint`]) — a flow-sensitive walk re-deriving the
+//! 2. **Lint** ([`lint`](mod@lint)) — a flow-sensitive walk re-deriving the
 //!    dynamic sanitizer's verdicts statically (secret addresses
 //!    escaping to demand accesses, secret branches and trip counts)
 //!    plus BIA-specific rules the sanitizer cannot see: sweeps

@@ -56,9 +56,9 @@ where
         .iter()
         .map(|&secret| {
             let mut m = make_machine();
-            m.enable_trace();
+            m.enable_observation();
             victim(&mut m, secret);
-            m.take_trace()
+            m.take_observation().demand
         })
         .collect()
 }

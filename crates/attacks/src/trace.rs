@@ -187,10 +187,10 @@ mod tests {
         use ctbia_machine::Machine;
         let mut m = Machine::insecure();
         let x = m.alloc(64, 64).unwrap();
-        m.enable_trace();
+        m.enable_observation();
         m.load_u64(x);
         m.store_u64(x, 1);
-        let t = m.take_trace();
+        let t = m.take_observation().demand;
         let s = summarize(&t);
         assert_eq!((s.loads, s.stores, s.unique_lines), (1, 1, 1));
     }

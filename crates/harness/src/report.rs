@@ -4,7 +4,7 @@
 //! currency of the whole repo) and the full [`Counters`] snapshot — every
 //! statistic any figure or table derives from. The cache encoding is a flat
 //! `key value` text format, versioned with
-//! [`SCHEMA_VERSION`](crate::digest::SCHEMA_VERSION) and closed by an `end`
+//! [`SCHEMA_VERSION`] and closed by an `end`
 //! trailer so truncated or corrupt files parse to `None` (a cache miss)
 //! instead of a wrong result.
 

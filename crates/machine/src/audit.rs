@@ -187,7 +187,7 @@ impl ShadowAuditor {
         self.total_violations
     }
 
-    /// The violation log (first [`LOG_CAP`] divergences).
+    /// The violation log (the first 256 divergences).
     pub fn violations(&self) -> &[AuditViolation] {
         &self.violations
     }

@@ -56,9 +56,9 @@ fn corunner_costs_no_victim_cycles_or_trace_entries() {
         period: 1,
         actions: vec![CoRunnerOp::Touch(other)],
     }));
-    m.enable_trace();
+    m.enable_observation();
     let (_, noisy) = m.measure(|m| m.load_u64(victim));
-    let trace = m.take_trace();
+    let trace = m.take_observation().demand;
     assert_eq!(
         noisy.cycles, quiet.cycles,
         "co-runner work is not the victim's time"

@@ -64,6 +64,6 @@ pub use secure::SecureArray;
 // Re-export the trace vocabulary the machine speaks, so downstream crates
 // can attach sinks without naming `ctbia-trace` directly.
 pub use ctbia_trace::{
-    EventKind, JsonlSink, LinearizeStats, MemOp, MetricsSink, Phase, PhaseCycles, RingBufferSink,
-    TeeSink, TraceRecord, TraceSink,
+    EventKind, JsonlSink, LinearizeStats, MemOp, MetricsSink, Phase, PhaseCycles, TeeSink,
+    TraceRecord, TraceSink,
 };

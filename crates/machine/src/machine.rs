@@ -11,16 +11,18 @@ use crate::audit::ShadowAuditor;
 use crate::cost::CostModel;
 use crate::counters::{Counters, RobustnessStats, SpecStats, TaintStats};
 use crate::memory::{OutOfSimRam, SimRam};
-use ctbia_core::bia::{Bia, BiaConfig, BiaConfigError};
+use ctbia_core::bia::{Bia, BiaConfig, BiaConfigError, BiaView};
 use ctbia_core::ctmem::{CtLoad, CtMemory, CtStore, LinearizeInfo, Width};
 use ctbia_core::predicate::{ct_eq, select};
 use ctbia_core::taint::{LeakViolation, TaintLabel};
 use ctbia_sim::addr::{LineAddr, PhysAddr};
+use ctbia_sim::cache::AccessKind;
 use ctbia_sim::config::{CacheConfig, ConfigError, HierarchyConfig};
 use ctbia_sim::fault::{FaultConfig, FaultInjector, StructuralFault};
 use ctbia_sim::hierarchy::{
     AccessFlags, AccessResult, CacheEvent, Hierarchy, Level, MonitorLevel, NullMonitor,
 };
+use ctbia_sim::HierarchyStats;
 use ctbia_trace::{EventKind, LinearizeStats, MemOp, Phase, PhaseCycles, TraceRecord, TraceSink};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -194,7 +196,7 @@ impl Default for MachineConfig {
 }
 
 /// A deterministic co-runner sharing the cache with the simulated program
-/// — the paper's §5.1 general case of "other processes us[ing] the same
+/// — the paper's §5.1 general case of "other processes using the same
 /// cache at the same time". Every `period` demand accesses of the program,
 /// the co-runner performs its next action (round-robin over `actions`).
 ///
@@ -256,7 +258,6 @@ pub enum TraceOp {
     DramStore,
 }
 
-/// The structured-trace opcode corresponding to a demand-trace opcode.
 /// SplitMix64 finalizer: seeds the per-site branch predictor counters
 /// deterministically from `spec_seed ^ site`.
 fn splitmix64(mut x: u64) -> u64 {
@@ -266,6 +267,7 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The structured-trace opcode corresponding to a demand-trace opcode.
 fn memop_of(op: TraceOp) -> MemOp {
     match op {
         TraceOp::Load => MemOp::Load,
@@ -376,70 +378,47 @@ impl ObsTrace {
     /// `None` when the traces are equal. Used for diagnostics when the
     /// oracle finds a divergence.
     pub fn first_divergence(&self, other: &ObsTrace) -> Option<String> {
-        for (i, (a, b)) in self.demand.iter().zip(&other.demand).enumerate() {
-            if a != b {
-                return Some(format!(
-                    "demand[{i}]: {:?}@{:#x} vs {:?}@{:#x}",
-                    a.op,
-                    a.line.raw(),
-                    b.op,
-                    b.line.raw()
-                ));
-            }
-        }
-        if self.demand.len() != other.demand.len() {
-            return Some(format!(
-                "demand length {} vs {}",
-                self.demand.len(),
-                other.demand.len()
-            ));
-        }
-        for (i, (a, b)) in self.ct.iter().zip(&other.ct).enumerate() {
-            if a != b {
-                return Some(format!(
-                    "ct[{i}]: {}:{:#x} vs {}:{:#x}",
-                    if a.store { "dirt" } else { "exist" },
-                    a.bitmap,
-                    if b.store { "dirt" } else { "exist" },
-                    b.bitmap
-                ));
-            }
-        }
-        if self.ct.len() != other.ct.len() {
-            return Some(format!("ct length {} vs {}", self.ct.len(), other.ct.len()));
-        }
-        for (i, (a, b)) in self.slices.iter().zip(&other.slices).enumerate() {
-            if a != b {
-                return Some(format!("slice[{i}]: {a} vs {b}"));
-            }
-        }
-        if self.slices.len() != other.slices.len() {
-            return Some(format!(
-                "slice length {} vs {}",
-                self.slices.len(),
-                other.slices.len()
-            ));
-        }
-        for (i, (a, b)) in self.spec.iter().zip(&other.spec).enumerate() {
-            if a != b {
-                return Some(format!(
-                    "wrong-path fill spec[{i}]: {:?}@{:#x} vs {:?}@{:#x}",
-                    a.op,
-                    a.line.raw(),
-                    b.op,
-                    b.line.raw()
-                ));
-            }
-        }
-        if self.spec.len() != other.spec.len() {
-            return Some(format!(
-                "wrong-path fill count {} vs {}",
-                self.spec.len(),
-                other.spec.len()
-            ));
-        }
-        None
+        let event = |e: &TraceEvent| format!("{:?}@{:#x}", e.op, e.line.raw());
+        let response = |r: &CtResponse| {
+            let plane = if r.store { "dirt" } else { "exist" };
+            format!("{plane}:{:#x}", r.bitmap)
+        };
+        let slice = |s: &u32| s.to_string();
+        channel_divergence(
+            "demand",
+            "demand length",
+            &self.demand,
+            &other.demand,
+            event,
+        )
+        .or_else(|| channel_divergence("ct", "ct length", &self.ct, &other.ct, response))
+        .or_else(|| channel_divergence("slice", "slice length", &self.slices, &other.slices, slice))
+        .or_else(|| {
+            channel_divergence(
+                "wrong-path fill spec",
+                "wrong-path fill count",
+                &self.spec,
+                &other.spec,
+                event,
+            )
+        })
     }
+}
+
+/// The first difference between two recordings of one observation
+/// channel: the first unequal element (`name[i]: a vs b`), else a length
+/// mismatch (`length_name a vs b`), else `None`.
+fn channel_divergence<T: PartialEq>(
+    name: &str,
+    length_name: &str,
+    a: &[T],
+    b: &[T],
+    show: impl Fn(&T) -> String,
+) -> Option<String> {
+    if let Some((i, (x, y))) = a.iter().zip(b).enumerate().find(|(_, (x, y))| x != y) {
+        return Some(format!("{name}[{i}]: {} vs {}", show(x), show(y)));
+    }
+    (a.len() != b.len()).then(|| format!("{length_name} {} vs {}", a.len(), b.len()))
 }
 
 /// Shadow-taint state: a byte-granularity map holding only the bytes
@@ -453,43 +432,68 @@ struct TaintState {
     reported: u64,
 }
 
-/// The simulated machine.
+/// A co-runner installed with [`Machine::set_interference`], plus its
+/// clock (program demand accesses seen) and its round-robin cursor.
 #[derive(Debug)]
-pub struct Machine {
-    hier: Hierarchy,
-    bia: Option<Bia>,
-    placement: Option<BiaPlacement>,
-    ram: SimRam,
-    cost: CostModel,
+struct CoRunner {
+    plan: Interference,
+    clock: u64,
+    next: usize,
+}
+
+/// Everything that can be attached to a machine after construction.
+/// [`Machine::new`] and [`Machine::reset`] build it with `Default`, so a
+/// hook added here is dropped by `reset` without being named there, and
+/// the guards that pick a faster path ask only [`Attached::observed`]
+/// and [`Attached::buffered`] whether an observer needs the slow one.
+#[derive(Debug, Default)]
+struct Attached {
+    /// Structured trace sink. Every emission site is gated on it, so a
+    /// machine without a sink takes no stats snapshots, formats nothing,
+    /// and allocates nothing for tracing.
+    sink: Option<Box<dyn TraceSink>>,
+    /// The observation recorder ([`Machine::enable_observation`]).
+    obs: Option<ObsTrace>,
+    taint: Option<Box<TaintState>>,
+    corunner: Option<CoRunner>,
+    auditor: Option<ShadowAuditor>,
+    injector: Option<FaultInjector>,
+    /// Management groups degraded to full linearization (non-empty only
+    /// while an auditor or injector is attached).
+    degraded: BTreeSet<u64>,
+}
+
+impl Attached {
+    /// Whether anything records the per-access interleaving: a trace sink
+    /// or the observation recorder.
+    #[inline]
+    fn observed(&self) -> bool {
+        self.sink.is_some() || self.obs.is_some()
+    }
+
+    /// Whether the BIA's event stream must be buffered rather than
+    /// consumed inline: the auditor must see it pristine and the injector
+    /// must perturb it. When false, CT operations take the exact
+    /// pre-robustness path.
+    #[inline]
+    fn buffered(&self) -> bool {
+        self.auditor.is_some() || self.injector.is_some()
+    }
+}
+
+/// Everything one run accumulates: the tallies behind [`Counters`] and
+/// the speculation bookkeeping. [`Machine::reset`] replaces it with
+/// `Default`.
+#[derive(Debug, Default)]
+struct RunState {
     cycles: u64,
     insts: u64,
     ct_loads: u64,
     ct_stores: u64,
     phases: PhaseCycles,
     linearize: LinearizeStats,
-    /// Structured trace sink. Every emission site is gated on
-    /// `self.sink.is_some()`, so a machine without a sink takes no stats
-    /// snapshots, formats nothing, and allocates nothing for tracing.
-    sink: Option<Box<dyn TraceSink>>,
-    trace: Option<Vec<TraceEvent>>,
-    probe_slices: Option<Vec<u32>>,
-    ct_obs: Option<Vec<CtResponse>>,
-    taint: Option<Box<TaintState>>,
-    silent_stores: bool,
-    interference: Option<Interference>,
-    interference_clock: u64,
-    interference_next: usize,
-    auditor: Option<ShadowAuditor>,
-    injector: Option<FaultInjector>,
-    degraded: BTreeSet<u64>,
     robust: RobustnessStats,
-    /// Spare event buffer, swapped with the hierarchy's on every drain so
-    /// the steady-state event path performs no allocation.
-    event_buf: Vec<CacheEvent>,
-    /// Bounded-speculation window (0 = speculation off; see
-    /// [`MachineConfig::spec_window`]).
-    spec_window: u32,
-    spec_seed: u64,
+    spec: SpecStats,
     /// Per-site 2-bit saturating predictor counters, deterministically
     /// initialized from `spec_seed ^ site`. Empty when speculation is off.
     spec_predictor: HashMap<u64, u8>,
@@ -499,10 +503,26 @@ pub struct Machine {
     spec_active: bool,
     /// Wrong-path accesses issued in the current window.
     spec_used: u32,
-    spec: SpecStats,
-    /// Wrong-path access channel of the observation trace (recorded only
-    /// under [`Machine::enable_observation`]).
-    spec_trace: Option<Vec<TraceEvent>>,
+}
+
+/// The simulated machine.
+#[derive(Debug)]
+pub struct Machine {
+    hier: Hierarchy,
+    bia: Option<Bia>,
+    placement: Option<BiaPlacement>,
+    ram: SimRam,
+    cost: CostModel,
+    silent_stores: bool,
+    /// Bounded-speculation window (0 = speculation off; see
+    /// [`MachineConfig::spec_window`]).
+    spec_window: u32,
+    spec_seed: u64,
+    run: RunState,
+    att: Attached,
+    /// Spare event buffer, swapped with the hierarchy's on every drain so
+    /// the steady-state event path performs no allocation.
+    event_buf: Vec<CacheEvent>,
 }
 
 impl Machine {
@@ -561,33 +581,12 @@ impl Machine {
             placement,
             ram: SimRam::new(config.ram_bytes),
             cost: config.cost,
-            cycles: 0,
-            insts: 0,
-            ct_loads: 0,
-            ct_stores: 0,
-            phases: PhaseCycles::default(),
-            linearize: LinearizeStats::default(),
-            sink: None,
-            trace: None,
-            probe_slices: None,
-            ct_obs: None,
-            taint: None,
             silent_stores: config.silent_stores,
-            interference: None,
-            interference_clock: 0,
-            interference_next: 0,
-            auditor: None,
-            injector: None,
-            degraded: BTreeSet::new(),
-            robust: RobustnessStats::default(),
-            event_buf: Vec::new(),
             spec_window: config.spec_window,
             spec_seed: config.spec_seed,
-            spec_predictor: HashMap::new(),
-            spec_active: false,
-            spec_used: 0,
-            spec: SpecStats::default(),
-            spec_trace: None,
+            run: RunState::default(),
+            att: Attached::default(),
+            event_buf: Vec::new(),
         })
     }
 
@@ -611,41 +610,19 @@ impl Machine {
     /// short workloads reuse one machine per configuration instead of
     /// paying construction and teardown per cell.
     ///
-    /// Everything attachable after construction — trace sinks, taint,
-    /// interference, auditor, fault injector — is dropped, exactly as a
-    /// fresh machine would lack them.
+    /// Everything attachable after construction is dropped, exactly as a
+    /// fresh machine would lack it.
     pub fn reset(&mut self) {
         self.hier.reset();
         if let Some(bia) = &mut self.bia {
             bia.reset();
         }
         self.ram.reset();
-        self.cycles = 0;
-        self.insts = 0;
-        self.ct_loads = 0;
-        self.ct_stores = 0;
-        self.phases = PhaseCycles::default();
-        self.linearize = LinearizeStats::default();
-        self.sink = None;
-        self.trace = None;
-        self.probe_slices = None;
-        self.ct_obs = None;
-        self.taint = None;
-        self.interference = None;
-        self.interference_clock = 0;
-        self.interference_next = 0;
-        self.auditor = None;
-        self.injector = None;
-        self.degraded.clear();
-        self.robust = RobustnessStats::default();
-        self.event_buf.clear();
         // `spec_window`/`spec_seed` are configuration and survive the
         // reset; the predictor state and window bookkeeping do not.
-        self.spec_predictor.clear();
-        self.spec_active = false;
-        self.spec_used = 0;
-        self.spec = SpecStats::default();
-        self.spec_trace = None;
+        self.run = RunState::default();
+        self.att = Attached::default();
+        self.event_buf.clear();
     }
 
     /// The configured BIA placement, if any.
@@ -674,7 +651,7 @@ impl Machine {
     /// Returns [`MachineError::NoBia`] when the machine has no BIA.
     pub fn enable_audit(&mut self) -> Result<(), MachineError> {
         let bia = self.bia.as_ref().ok_or(MachineError::NoBia)?;
-        self.auditor = Some(ShadowAuditor::new(*bia.config())?);
+        self.att.auditor = Some(ShadowAuditor::new(*bia.config())?);
         Ok(())
     }
 
@@ -689,44 +666,46 @@ impl Machine {
         if self.bia.is_none() {
             return Err(MachineError::NoBia);
         }
-        self.injector = cfg.map(FaultInjector::new);
+        self.att.injector = cfg.map(FaultInjector::new);
         Ok(())
     }
 
     /// The shadow auditor, if enabled.
     pub fn auditor(&self) -> Option<&ShadowAuditor> {
-        self.auditor.as_ref()
+        self.att.auditor.as_ref()
     }
 
     /// The fault injector, if installed.
     pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.injector.as_ref()
+        self.att.injector.as_ref()
     }
 
     /// Management groups currently degraded to full dataflow
     /// linearization, in ascending order.
     pub fn degraded_groups(&self) -> Vec<u64> {
-        self.degraded.iter().copied().collect()
+        self.att.degraded.iter().copied().collect()
     }
 
-    /// Whether any robustness machinery (audit or fault injection) is on.
-    /// When false, CT operations take the exact pre-robustness path.
-    fn robustness_active(&self) -> bool {
-        self.auditor.is_some() || self.injector.is_some()
+    /// Faults the installed injector has applied so far (0 without one).
+    fn faults_injected(&self) -> u64 {
+        self.att
+            .injector
+            .as_ref()
+            .map_or(0, FaultInjector::faults_injected)
     }
 
     /// Downgrades `group` to full linearization: zeroes its bitmaps in the
     /// real BIA (and the shadow, to keep lockstep) and serves zeroed views
     /// for its CT operations until a clean audit batch re-promotes it.
     fn degrade_group(&mut self, group: u64) {
-        if self.degraded.insert(group) {
-            self.robust.downgrades += 1;
+        if self.att.degraded.insert(group) {
+            self.run.robust.downgrades += 1;
             self.emit(EventKind::Degrade { group });
         }
         if let Some(bia) = &mut self.bia {
             bia.reset_group(group);
         }
-        if let Some(aud) = &mut self.auditor {
+        if let Some(aud) = &mut self.att.auditor {
             aud.reset_group(group);
         }
     }
@@ -805,92 +784,68 @@ impl Machine {
     /// [`TraceRecord`]. Sinks see the deterministic cycle clock only —
     /// never wall-clock — so traces are byte-reproducible.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink = Some(sink);
+        self.att.sink = Some(sink);
     }
 
     /// Detaches and returns the structured trace sink, if any. Use
     /// [`TraceSink::into_any`] to recover the concrete sink type.
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.sink.take()
+        self.att.sink.take()
     }
 
     /// The per-phase cycle attribution so far. Always sums exactly to
     /// [`Machine::cycles`], sink or no sink.
     pub fn phase_cycles(&self) -> PhaseCycles {
-        self.phases
+        self.run.phases
     }
 
     /// Emits `kind` to the sink, stamped with the current cycle count.
     #[inline]
     fn emit(&mut self, kind: EventKind) {
-        if let Some(sink) = &mut self.sink {
+        if let Some(sink) = &mut self.att.sink {
             sink.record(&TraceRecord {
-                cycle: self.cycles,
+                cycle: self.run.cycles,
                 kind,
             });
         }
     }
 
-    /// Starts recording the attacker-granularity demand trace. Under an
-    /// LLC-resident BIA this also records the slice sequence of CT-op
-    /// probes — with a sliced LLC, a CT operation travels over the
-    /// interconnect to the slice holding its line, which a ring/mesh
-    /// attacker can observe at slice granularity (§6.4).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-        if self.placement == Some(BiaPlacement::Llc) {
-            self.probe_slices = Some(Vec::new());
-        }
-    }
-
-    /// Stops recording and returns the trace (empty if tracing was off).
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        self.trace.take().unwrap_or_default()
-    }
-
-    /// The slice sequence of CT-op probes recorded since `enable_trace`
-    /// (LLC-resident BIA only; empty otherwise).
-    pub fn take_probe_slices(&mut self) -> Vec<u32> {
-        self.probe_slices.take().unwrap_or_default()
-    }
-
     /// Starts recording the full [`ObsTrace`] the trace-equivalence
-    /// oracle compares: the demand trace (see [`Machine::enable_trace`])
-    /// plus every CT-op bitmap response.
+    /// oracle compares — the machine's one recording API: every
+    /// attacker-granularity demand access, every CT-op bitmap response,
+    /// every wrong-path fill, and, under an LLC-resident BIA, the slice
+    /// sequence of CT-op probes (with a sliced LLC a CT operation travels
+    /// over the interconnect to the slice holding its line, which a
+    /// ring/mesh attacker can observe at slice granularity, §6.4).
+    /// Restarts the recording if it was already on.
     pub fn enable_observation(&mut self) {
-        self.enable_trace();
-        self.ct_obs = Some(Vec::new());
-        self.spec_trace = Some(Vec::new());
+        self.att.obs = Some(ObsTrace::default());
     }
 
-    /// Stops observation recording and returns the trace (empty for any
-    /// channel that was not being recorded).
+    /// Stops recording and returns the observation trace (empty if
+    /// recording was off).
     pub fn take_observation(&mut self) -> ObsTrace {
-        ObsTrace {
-            demand: self.take_trace(),
-            ct: self.ct_obs.take().unwrap_or_default(),
-            slices: self.take_probe_slices(),
-            spec: self.spec_trace.take().unwrap_or_default(),
-        }
+        self.att.obs.take().unwrap_or_default()
     }
 
     /// Turns on the shadow taint layer. Until this is called every
     /// taint hook is a no-op and the hot path pays only a `None` check,
     /// mirroring the audit layer's opt-in contract.
     pub fn enable_taint(&mut self) {
-        if self.taint.is_none() {
-            self.taint = Some(Box::default());
+        if self.att.taint.is_none() {
+            self.att.taint = Some(Box::default());
         }
     }
 
     /// The leak violations reported so far (empty when taint is off).
     pub fn taint_violations(&self) -> &[LeakViolation] {
-        self.taint.as_ref().map_or(&[], |t| &t.violations)
+        self.att.taint.as_ref().map_or(&[], |t| &t.violations)
     }
 
     /// Drains and returns the recorded leak violations.
     pub fn take_taint_violations(&mut self) -> Vec<LeakViolation> {
-        self.taint
+        self.att
+            .taint
             .as_mut()
             .map_or_else(Vec::new, |t| std::mem::take(&mut t.violations))
     }
@@ -898,30 +853,27 @@ impl Machine {
     /// Snapshot of all counters.
     pub fn counters(&self) -> Counters {
         Counters {
-            cycles: self.cycles,
-            insts: self.insts,
-            ct_loads: self.ct_loads,
-            ct_stores: self.ct_stores,
-            phases: self.phases,
-            linearize: self.linearize,
+            cycles: self.run.cycles,
+            insts: self.run.insts,
+            ct_loads: self.run.ct_loads,
+            ct_stores: self.run.ct_stores,
+            phases: self.run.phases,
+            linearize: self.run.linearize,
             hier: self.hier.stats(),
             bia: self.bia.as_ref().map(|b| *b.stats()).unwrap_or_default(),
-            robust: {
-                let mut r = self.robust;
-                r.faults_injected = self
-                    .injector
-                    .as_ref()
-                    .map_or(0, FaultInjector::faults_injected);
-                r
+            robust: RobustnessStats {
+                faults_injected: self.faults_injected(),
+                ..self.run.robust
             },
             taint: self
+                .att
                 .taint
                 .as_ref()
                 .map_or_else(TaintStats::default, |t| TaintStats {
                     marked_bytes: t.shadow.len() as u64,
                     leak_violations: t.reported,
                 }),
-            spec: self.spec,
+            spec: self.run.spec,
         }
     }
 
@@ -932,7 +884,7 @@ impl Machine {
 
     /// Simulated cycles so far.
     pub fn cycles(&self) -> u64 {
-        self.cycles
+        self.run.cycles
     }
 
     /// Runs `f` and returns its result together with the counter delta of
@@ -954,33 +906,35 @@ impl Machine {
     /// simulated analogue of timing an access with `rdtsc`, used by the
     /// Prime+Probe attacker.
     pub fn timed_load(&mut self, addr: PhysAddr, width: Width) -> (u64, u64) {
-        let before = self.cycles;
+        let before = self.run.cycles;
         let v = self.demand(addr, width, AccessFlags::read(), TraceOp::Load, None);
-        (v, self.cycles - before)
+        (v, self.run.cycles - before)
     }
 
     /// Installs (or clears, with `None`) a deterministic co-runner. See
     /// [`Interference`].
     pub fn set_interference(&mut self, interference: Option<Interference>) {
-        self.interference = interference;
-        self.interference_clock = 0;
-        self.interference_next = 0;
+        self.att.corunner = interference.map(|plan| CoRunner {
+            plan,
+            clock: 0,
+            next: 0,
+        });
     }
 
     /// Runs the co-runner's next action when its period has elapsed.
     fn tick_interference(&mut self) {
-        let Some(intf) = &self.interference else {
+        let Some(co) = &mut self.att.corunner else {
             return;
         };
-        if intf.actions.is_empty() || intf.period == 0 {
+        if co.plan.actions.is_empty() || co.plan.period == 0 {
             return;
         }
-        self.interference_clock += 1;
-        if self.interference_clock % intf.period != 0 {
+        co.clock += 1;
+        if co.clock % co.plan.period != 0 {
             return;
         }
-        let op = intf.actions[self.interference_next % intf.actions.len()];
-        self.interference_next += 1;
+        let op = co.plan.actions[co.next % co.plan.actions.len()];
+        co.next += 1;
         match op {
             CoRunnerOp::Flush(addr) => {
                 self.hier.invalidate_everywhere(addr.line());
@@ -999,7 +953,7 @@ impl Machine {
     }
 
     fn sync_bia(&mut self) {
-        if self.auditor.is_none() && self.injector.is_none() {
+        if !self.att.buffered() {
             // Fast path, byte-identical to the audit-off machine. The drain
             // swaps the hierarchy's event buffer with the machine's spare,
             // so steady-state simulation allocates nothing on this path.
@@ -1012,27 +966,25 @@ impl Machine {
             return;
         }
         let delayed_pending = self
+            .att
             .injector
             .as_ref()
             .is_some_and(|i| i.pending_delayed() > 0);
         if !self.hier.has_events() && !delayed_pending {
             return;
         }
-        let faults_before = self
-            .injector
-            .as_ref()
-            .map_or(0, FaultInjector::faults_injected);
+        let faults_before = self.faults_injected();
         self.hier.drain_events_into(&mut self.event_buf);
         // The auditor sees the stream as emitted; the real BIA sees it
         // after the injector had its way.
-        if let Some(aud) = &mut self.auditor {
+        if let Some(aud) = &mut self.att.auditor {
             aud.observe_batch(&self.event_buf);
         }
         if self.bia.is_none() {
             return;
         }
         let mut structural = Vec::new();
-        if let Some(inj) = &mut self.injector {
+        if let Some(inj) = &mut self.att.injector {
             inj.perturb(&mut self.event_buf);
             structural = inj.structural_faults();
         }
@@ -1058,15 +1010,9 @@ impl Machine {
                 StructuralFault::Interfere { pick } => self.interfere_fault(pick),
             }
         }
-        if self.sink.is_some() {
-            let injected = self
-                .injector
-                .as_ref()
-                .map_or(0, FaultInjector::faults_injected)
-                - faults_before;
-            if injected > 0 {
-                self.emit(EventKind::Faults { injected });
-            }
+        let injected = self.faults_injected() - faults_before;
+        if injected > 0 {
+            self.emit(EventKind::Faults { injected });
         }
         self.audit_batch();
     }
@@ -1087,7 +1033,7 @@ impl Machine {
         // Reuses the spare buffer: the batch that triggered this structural
         // fault has already been applied by the time we get here.
         self.hier.drain_events_into(&mut self.event_buf);
-        if let Some(aud) = &mut self.auditor {
+        if let Some(aud) = &mut self.att.auditor {
             aud.observe_batch(&self.event_buf);
         }
         if let Some(bia) = &mut self.bia {
@@ -1100,46 +1046,33 @@ impl Machine {
     /// groups and resynchronize the real table from the shadow; a clean
     /// batch re-promotes previously degraded groups.
     fn audit_batch(&mut self) {
-        let (Some(aud), Some(bia)) = (&mut self.auditor, &mut self.bia) else {
+        let (Some(aud), Some(bia)) = (&mut self.att.auditor, &mut self.bia) else {
             return;
         };
         let fresh = aud.check(bia);
-        self.robust.audit_batches += 1;
+        self.run.robust.audit_batches += 1;
         if fresh.is_empty() {
-            if !self.degraded.is_empty() {
+            if !self.att.degraded.is_empty() {
                 // The table survived a full batch fault-free after the
                 // resync: trust it again.
-                self.robust.resyncs += 1;
-                let groups = self.degraded.len() as u64;
-                self.degraded.clear();
-                if let Some(sink) = &mut self.sink {
-                    sink.record(&TraceRecord {
-                        cycle: self.cycles,
-                        kind: EventKind::Repromote { groups },
-                    });
-                }
+                self.run.robust.resyncs += 1;
+                let groups = self.att.degraded.len() as u64;
+                self.att.degraded.clear();
+                self.emit(EventKind::Repromote { groups });
             }
             return;
         }
-        self.robust.audit_violations += fresh.len() as u64;
-        if let Some(sink) = &mut self.sink {
-            sink.record(&TraceRecord {
-                cycle: self.cycles,
-                kind: EventKind::Resync {
-                    violations: fresh.len() as u64,
-                },
-            });
+        self.run.robust.audit_violations += fresh.len() as u64;
+        self.emit(EventKind::Resync {
+            violations: fresh.len() as u64,
+        });
+        if let (Some(aud), Some(bia)) = (&self.att.auditor, &mut self.bia) {
+            bia.copy_state_from(aud.shadow());
         }
-        bia.copy_state_from(aud.shadow());
         for group in fresh.iter().map(|v| v.group) {
-            if self.degraded.insert(group) {
-                self.robust.downgrades += 1;
-                if let Some(sink) = &mut self.sink {
-                    sink.record(&TraceRecord {
-                        cycle: self.cycles,
-                        kind: EventKind::Degrade { group },
-                    });
-                }
+            if self.att.degraded.insert(group) {
+                self.run.robust.downgrades += 1;
+                self.emit(EventKind::Degrade { group });
             }
         }
     }
@@ -1149,116 +1082,34 @@ impl Machine {
     /// phase-sum == cycle-count invariant structural rather than audited.
     #[inline]
     fn charge(&mut self, phase: Phase, n: u64) {
-        self.cycles += n;
-        self.phases.add(phase, n);
+        self.run.cycles += n;
+        self.run.phases.add(phase, n);
     }
 
     #[inline]
     fn charge_inst(&mut self, n: u64) {
         // Wrong-path instructions never retire: they contribute nothing
         // to the architectural instruction count or the compute phase.
-        if self.spec_active {
+        if self.run.spec_active {
             return;
         }
-        self.insts += n;
+        self.run.insts += n;
         self.charge(Phase::Compute, n * self.cost.cycles_per_inst);
     }
 
-    /// A demand access issued inside a wrong-path speculation window.
+    /// A demand access: the one path every load, store, dataflow-set and
+    /// DRAM-direct access takes, architectural or wrong-path.
     ///
-    /// Microarchitectural effects are real — the access walks the
-    /// monitored hierarchy, fills lines, updates replacement state and
-    /// the BIA, and its cache-service time is charged to
-    /// [`Phase::Speculative`] — but every architectural effect is
-    /// suppressed: no instruction retires, RAM writes are buffered and
-    /// discarded at squash (store-buffer semantics, modeled by demoting
-    /// the access to a read), and nothing lands in the attacker-visible
-    /// demand trace. This is exactly the Spectre v1 leakage surface: the
-    /// squash undoes the registers, not the cache.
-    fn spec_demand(
-        &mut self,
-        addr: PhysAddr,
-        width: Width,
-        flags: AccessFlags,
-        op: TraceOp,
-        store: Option<u64>,
-    ) -> u64 {
-        debug_assert!(
-            addr.is_aligned(width.bytes()),
-            "misaligned access at {addr}"
-        );
-        if self.spec_used >= self.spec_window {
-            // The window is exhausted: the frontend has stalled, so the
-            // access never issues. Loads still forward a value so the
-            // wrong-path closure can keep computing dependent addresses.
-            return match store {
-                Some(_) => 0,
-                None => self.ram.read(addr, width.bytes()),
-            };
-        }
-        self.spec_used += 1;
-        self.spec.wrong_path_accesses += 1;
-        // Store-buffer semantics: a transient store allocates and warms
-        // its line like a read but never reaches RAM or dirties the line
-        // (the squash drains the store buffer before writeback).
-        let mut flags = flags;
-        flags.kind = ctbia_sim::cache::AccessKind::Read;
-        let snap = if self.sink.is_some() {
-            Some(self.hier.stats())
-        } else {
-            None
-        };
-        let inline = self.auditor.is_none() && self.injector.is_none();
-        let result = match (&mut self.bia, inline) {
-            (Some(bia), true) => self.hier.access_with(addr.line(), flags, bia),
-            (None, _) if self.hier.monitor().is_none() => {
-                self.hier.access_with(addr.line(), flags, &mut NullMonitor)
-            }
-            _ => self.hier.access(addr.line(), flags),
-        };
-        let nearest = if flags.dram_direct {
-            false
-        } else if flags.bypass_l2 {
-            result.hit_level == Level::Llc
-        } else if flags.bypass_l1 {
-            result.hit_level == Level::L2
-        } else {
-            result.hit_level == Level::L1d
-        };
-        if !nearest {
-            self.spec.wrong_path_fills += 1;
-        }
-        let ds_stream = matches!(op, TraceOp::DsLoad | TraceOp::DsStore);
-        let mem_cycles = self.cost.memory_cycles(result.latency, nearest, ds_stream);
-        // The whole charge (DRAM stall included) lands on the speculative
-        // phase: transient time is transient time.
-        self.charge(Phase::Speculative, mem_cycles);
-        if let Some(snap) = snap {
-            let delta = self.hier.stats() - snap;
-            self.emit(EventKind::SpecAccess {
-                op: memop_of(op),
-                line: addr.line().raw(),
-                hit_level: result.hit_level,
-                latency: result.latency,
-                cycles: mem_cycles,
-                delta,
-            });
-        }
-        if !inline {
-            self.sync_bia();
-        }
-        if let Some(t) = &mut self.spec_trace {
-            t.push(TraceEvent {
-                op,
-                line: addr.line(),
-            });
-        }
-        match store {
-            Some(_) => 0,
-            None => self.ram.read(addr, width.bytes()),
-        }
-    }
-
+    /// Inside a wrong-path speculation window the microarchitectural
+    /// effects are real — the access walks the monitored hierarchy, fills
+    /// lines, updates replacement state and the BIA, and its cache-service
+    /// time is charged to [`Phase::Speculative`] — but every architectural
+    /// effect is suppressed: no instruction retires, RAM writes are
+    /// buffered and discarded at squash (store-buffer semantics, modeled
+    /// by demoting the access to a read), and the access is recorded as a
+    /// wrong-path fill, not in the demand channel. This is exactly the
+    /// Spectre v1 leakage surface: the squash undoes the registers, not
+    /// the cache.
     fn demand(
         &mut self,
         addr: PhysAddr,
@@ -1267,121 +1118,170 @@ impl Machine {
         op: TraceOp,
         store: Option<u64>,
     ) -> u64 {
-        if self.spec_active {
-            return self.spec_demand(addr, width, flags, op, store);
-        }
-        self.tick_interference();
-        let ds_stream = matches!(op, TraceOp::DsLoad | TraceOp::DsStore);
-        // Silent-store squashing: a store of the value already in memory
-        // behaves like a read (no dirty-bit update) when enabled.
-        let mut flags = flags;
-        if self.silent_stores && flags.kind == ctbia_sim::cache::AccessKind::Write {
-            if let Some(v) = store {
-                if self.ram.read(addr, width.bytes()) == v & width.mask() {
-                    flags.kind = ctbia_sim::cache::AccessKind::Read;
-                }
-            }
-        }
         debug_assert!(
             addr.is_aligned(width.bytes()),
             "misaligned access at {addr}"
         );
-        self.charge_inst(1);
-        if let Some(t) = &mut self.trace {
-            t.push(TraceEvent {
+        let spec = self.run.spec_active;
+        let mut flags = flags;
+        if spec {
+            if self.run.spec_used >= self.spec_window {
+                // The window is exhausted: the frontend has stalled, so the
+                // access never issues. Loads still forward a value so the
+                // wrong-path closure can keep computing dependent addresses.
+                return match store {
+                    Some(_) => 0,
+                    None => self.ram.read(addr, width.bytes()),
+                };
+            }
+            self.run.spec_used += 1;
+            self.run.spec.wrong_path_accesses += 1;
+            // Store-buffer semantics: a transient store allocates and warms
+            // its line like a read but never reaches RAM or dirties the line
+            // (the squash drains the store buffer before writeback).
+            flags.kind = AccessKind::Read;
+        } else {
+            self.tick_interference();
+            // Silent-store squashing: a store of the value already in memory
+            // behaves like a read (no dirty-bit update) when enabled.
+            if self.silent_stores && flags.kind == AccessKind::Write {
+                if let Some(v) = store {
+                    if self.ram.read(addr, width.bytes()) == v & width.mask() {
+                        flags.kind = AccessKind::Read;
+                    }
+                }
+            }
+            self.charge_inst(1);
+        }
+        let snap = self.att.sink.is_some().then(|| self.hier.stats());
+        // Steady state (no auditor, no injector): the BIA is the monitor
+        // and consumes events at the emit site — no buffer, no drain. The
+        // robustness paths need the buffered stream, so they keep the
+        // buffered access + `sync_bia` round-trip.
+        let inline = !self.att.buffered();
+        let (result, nearest) = self.walk(addr.line(), flags, inline);
+        let ds_stream = matches!(op, TraceOp::DsLoad | TraceOp::DsStore);
+        let mem_cycles = self.cost.memory_cycles(result.latency, nearest, ds_stream);
+        if spec {
+            if !nearest {
+                self.run.spec.wrong_path_fills += 1;
+            }
+            // The whole charge (DRAM stall included) lands on the
+            // speculative phase: transient time is transient time.
+            self.charge(Phase::Speculative, mem_cycles);
+        } else {
+            // Split the charge into the DRAM-stall portion and the
+            // cache-service remainder, which belongs to the linearization
+            // sweep for dataflow-set traffic and to plain demand otherwise.
+            // Cache hits have no stall portion; skip the zero-cycle charge.
+            let dram_part = mem_cycles.min(result.dram_latency);
+            if dram_part > 0 {
+                self.charge(Phase::DramStall, dram_part);
+            }
+            let service_phase = if ds_stream {
+                Phase::LinearizeSweep
+            } else {
+                Phase::DemandAccess
+            };
+            self.charge(service_phase, mem_cycles - dram_part);
+        }
+        if let Some(snap) = snap {
+            let delta = self.hier.stats() - snap;
+            let (op, line, hit_level, latency, cycles) = (
+                memop_of(op),
+                addr.line().raw(),
+                result.hit_level,
+                result.latency,
+                mem_cycles,
+            );
+            self.emit(if spec {
+                EventKind::SpecAccess {
+                    op,
+                    line,
+                    hit_level,
+                    latency,
+                    cycles,
+                    delta,
+                }
+            } else {
+                EventKind::Access {
+                    op,
+                    line,
+                    hit_level,
+                    latency,
+                    cycles,
+                    delta,
+                }
+            });
+        }
+        if !inline {
+            self.sync_bia();
+        }
+        if let Some(obs) = &mut self.att.obs {
+            let channel = if spec { &mut obs.spec } else { &mut obs.demand };
+            channel.push(TraceEvent {
                 op,
                 line: addr.line(),
             });
         }
-        let snap = if self.sink.is_some() {
-            Some(self.hier.stats())
-        } else {
-            None
-        };
-        // Steady state (no auditor, no injector): the BIA is the monitor
-        // and consumes events at the emit site — no buffer, no drain. The
-        // robustness paths need the buffered stream (the auditor must see
-        // it pristine, the injector must perturb it), so they keep the
-        // buffered access + `sync_bia` round-trip.
-        let inline = self.auditor.is_none() && self.injector.is_none();
+        match store {
+            Some(v) if !spec => {
+                self.ram.write(addr, width.bytes(), v);
+                0
+            }
+            Some(_) => 0,
+            None => self.ram.read(addr, width.bytes()),
+        }
+    }
+
+    /// The hierarchy walk of one demand access: dispatches it (inline BIA,
+    /// [`NullMonitor`], or buffered for the robustness layer) and reports
+    /// whether the nearest level its routing allows served it.
+    fn walk(&mut self, line: LineAddr, flags: AccessFlags, inline: bool) -> (AccessResult, bool) {
         // Unmonitored machines take an L1d-hit fast path: the hit performs
         // the cache's exact demand bookkeeping and nothing else in the walk
         // — deeper probes, fills, prefetch, events — can run, so the full
         // `access_with` is only needed when the hit-only attempt misses.
         let plain = !flags.dram_direct && !flags.bypass_l1 && !flags.bypass_l2;
         let unmonitored = self.bia.is_none() && self.hier.monitor().is_none();
-        let result = if plain
+        if plain
             && unmonitored
             && inline
             && self
                 .hier
-                .l1d_access_if_hit(addr.line(), flags.kind, flags.update_replacement)
+                .l1d_access_if_hit(line, flags.kind, flags.update_replacement)
         {
-            AccessResult {
-                latency: self.hier.cache(Level::L1d).hit_latency(),
+            let latency = self.hier.cache(Level::L1d).hit_latency();
+            let result = AccessResult {
+                latency,
                 hit_level: Level::L1d,
                 dram_latency: 0,
+            };
+            return (result, true);
+        }
+        let result = match (&mut self.bia, inline) {
+            (Some(bia), true) => self.hier.access_with(line, flags, bia),
+            // No monitored level means no events can be emitted at all, so
+            // the buffered form would only shuffle an empty vector around.
+            (None, _) if self.hier.monitor().is_none() => {
+                self.hier.access_with(line, flags, &mut NullMonitor)
             }
-        } else {
-            match (&mut self.bia, inline) {
-                (Some(bia), true) => self.hier.access_with(addr.line(), flags, bia),
-                // No monitored level means no events can be emitted at all,
-                // so the buffered form would only shuffle an empty vector
-                // around.
-                (None, _) if self.hier.monitor().is_none() => {
-                    self.hier.access_with(addr.line(), flags, &mut NullMonitor)
-                }
-                _ => self.hier.access(addr.line(), flags),
-            }
+            _ => self.hier.access(line, flags),
         };
-        let nearest = if flags.dram_direct {
-            false
-        } else if flags.bypass_l2 {
-            result.hit_level == Level::Llc
+        let nearest_level = if flags.bypass_l2 {
+            Level::Llc
         } else if flags.bypass_l1 {
-            result.hit_level == Level::L2
+            Level::L2
         } else {
-            result.hit_level == Level::L1d
+            Level::L1d
         };
-        let mem_cycles = self.cost.memory_cycles(result.latency, nearest, ds_stream);
-        // Split the charge into the DRAM-stall portion and the
-        // cache-service remainder, which belongs to the linearization
-        // sweep for dataflow-set traffic and to plain demand otherwise.
-        // Cache hits have no stall portion; skip the zero-cycle charge.
-        let dram_part = mem_cycles.min(result.dram_latency);
-        if dram_part > 0 {
-            self.charge(Phase::DramStall, dram_part);
-        }
-        let service_phase = if ds_stream {
-            Phase::LinearizeSweep
-        } else {
-            Phase::DemandAccess
-        };
-        self.charge(service_phase, mem_cycles - dram_part);
-        if let Some(snap) = snap {
-            let delta = self.hier.stats() - snap;
-            self.emit(EventKind::Access {
-                op: memop_of(op),
-                line: addr.line().raw(),
-                hit_level: result.hit_level,
-                latency: result.latency,
-                cycles: mem_cycles,
-                delta,
-            });
-        }
-        if !inline {
-            self.sync_bia();
-        }
-        match store {
-            Some(v) => {
-                self.ram.write(addr, width.bytes(), v);
-                0
-            }
-            None => self.ram.read(addr, width.bytes()),
-        }
+        (
+            result,
+            !flags.dram_direct && result.hit_level == nearest_level,
+        )
     }
 
-    fn ds_flags(&self, kind: ctbia_sim::cache::AccessKind) -> AccessFlags {
+    fn ds_flags(&self, kind: AccessKind) -> AccessFlags {
         let mut flags = AccessFlags {
             kind,
             update_replacement: false,
@@ -1401,33 +1301,143 @@ impl Machine {
     }
 
     /// Whether a software DS sweep may take the batched fast path: nothing
-    /// may observe the per-access interleaving (no trace, sink, co-runner,
-    /// auditor or injector), the hierarchy must be unmonitored with no BIA
-    /// or placement routing, and silent-store squashing must be off. Under
-    /// these conditions every per-line charge is a plain accumulation and
-    /// an L1d hit has no side effects beyond the cache's own bookkeeping,
-    /// so the batched sweep is state-for-state identical to the loop.
+    /// may observe or perturb the per-access interleaving (no observer, no
+    /// buffered event stream, no co-runner), the hierarchy must be
+    /// unmonitored with no BIA or placement routing, and silent-store
+    /// squashing must be off. Under these conditions every per-line charge
+    /// is a plain accumulation and an L1d hit has no side effects beyond
+    /// the cache's own bookkeeping, so the batched sweep is state-for-state
+    /// identical to the loop.
     #[inline]
     fn sweep_fast_path(&self) -> bool {
-        !self.spec_active
-            && self.trace.is_none()
-            && self.sink.is_none()
-            && self.interference.is_none()
-            && self.auditor.is_none()
-            && self.injector.is_none()
+        !self.run.spec_active
+            && !self.att.observed()
+            && !self.att.buffered()
+            && self.att.corunner.is_none()
             && self.bia.is_none()
             && self.hier.monitor().is_none()
             && self.placement.is_none()
             && !self.silent_stores
     }
 
-    /// The flat cycle charge of one L1d-hit DS access (the sweep's
-    /// steady-state cost): what [`Machine::demand`] computes for a
-    /// nearest-level hit on the dataflow stream.
+    /// Charges the inline L1d hits of a batched DS sweep in one step: one
+    /// instruction plus the flat DS-hit service (what [`Machine::demand`]
+    /// charges a nearest-level hit on the dataflow stream) per hit, and
+    /// `extra_insts` per swept line.
+    fn charge_sweep_hits(&mut self, hits: u64, lines: usize, extra_insts: u64) {
+        self.charge_inst(hits + lines as u64 * extra_insts);
+        let flat = self
+            .cost
+            .memory_cycles(self.hier.cache(Level::L1d).hit_latency(), true, true);
+        self.charge(Phase::LinearizeSweep, hits * flat);
+    }
+
+    /// The head both CT micro-ops share: counts and issues the op, records
+    /// its probe slice, and snapshots the hierarchy statistics for the
+    /// sink. Returns the monitored level, the 8-byte-aligned address and
+    /// the snapshot.
     #[inline]
-    fn ds_hit_sweep_cycles(&self) -> u64 {
-        self.cost
-            .memory_cycles(self.hier.cache(Level::L1d).hit_latency(), true, true)
+    fn ct_begin(
+        &mut self,
+        addr: PhysAddr,
+        store: bool,
+    ) -> (MonitorLevel, PhysAddr, Option<HierarchyStats>) {
+        debug_assert!(
+            !self.run.spec_active,
+            "CT micro-ops are not issued speculatively"
+        );
+        let Some(placement) = self.placement else {
+            let op = if store { "CTStore" } else { "CTLoad" };
+            panic!("{op} requires a machine with a BIA");
+        };
+        if store {
+            self.run.ct_stores += 1;
+        } else {
+            self.run.ct_loads += 1;
+        }
+        self.charge_inst(1);
+        let aligned = addr.align_down_u64();
+        if let Some(obs) = &mut self.att.obs {
+            if placement == BiaPlacement::Llc {
+                obs.slices.push(self.hier.llc_slice_of(aligned.line()));
+            }
+        }
+        let snap = self.att.sink.is_some().then(|| self.hier.stats());
+        (placement.monitor(), aligned, snap)
+    }
+
+    /// Mirrors a CT lookup into the shadow auditor and reads the BIA view
+    /// of `addr`, with the BIA latency and the target's (group, bit).
+    #[inline]
+    fn bia_lookup(&mut self, addr: PhysAddr, aligned: PhysAddr) -> (BiaView, u64, (u64, u32)) {
+        if let Some(aud) = &mut self.att.auditor {
+            aud.mirror_access(addr);
+        }
+        let bia = self
+            .bia
+            .as_mut()
+            .expect("BIA present when placement is set");
+        let view = bia.access_for(addr);
+        (view, bia.latency(), bia.locate(aligned.line()))
+    }
+
+    /// The tail both CT micro-ops share. `response` carries the BIA's
+    /// answer (existence for a `CTLoad`, dirtiness for a `CTStore`);
+    /// `confirmed` is whether the cache agrees with a set target bit.
+    /// Under the robustness layer a degraded group, or a set target bit
+    /// the cache contradicts (a desync, which degrades the group), turns
+    /// the answer into a zero view — Algorithms 2 and 3 then fetch the
+    /// whole dataflow set, i.e. full linearization. Charges the op to its
+    /// phase, emits it, records the response, and returns the bitmap the
+    /// program sees.
+    // Forced inline: as an out-of-line call, with the snapshot passed by
+    // value, CTLoad/CTStore cost about twice as much per op (25 → 55 ns
+    // on a 2-vCPU x86-64 VM).
+    #[inline(always)]
+    fn ct_finish(
+        &mut self,
+        mut response: CtResponse,
+        aligned: PhysAddr,
+        (group, bit): (u64, u32),
+        confirmed: bool,
+        cycles: u64,
+        snap: Option<HierarchyStats>,
+    ) -> u64 {
+        let mut degraded = false;
+        if self.att.buffered() {
+            if self.att.degraded.contains(&group) {
+                self.run.robust.degraded_ct_ops += 1;
+                degraded = true;
+            } else if response.bitmap & (1 << bit) != 0 && !confirmed {
+                self.run.robust.inline_desyncs += 1;
+                self.degrade_group(group);
+                degraded = true;
+            }
+            if degraded {
+                response.bitmap = 0;
+            }
+        }
+        let phase = if degraded {
+            Phase::Degraded
+        } else {
+            Phase::BiaMaintenance
+        };
+        self.charge(phase, cycles);
+        if let Some(snap) = snap {
+            let delta = self.hier.stats() - snap;
+            self.emit(EventKind::CtOp {
+                store: response.store,
+                line: aligned.line().raw(),
+                bitmap: response.bitmap,
+                cycles,
+                degraded,
+                delta,
+            });
+        }
+        if let Some(obs) = &mut self.att.obs {
+            obs.ct.push(response);
+        }
+        response.bitmap
     }
 }
 
@@ -1447,12 +1457,12 @@ impl CtMemory for Machine {
     }
 
     fn ds_load(&mut self, addr: PhysAddr, width: Width) -> u64 {
-        let flags = self.ds_flags(ctbia_sim::cache::AccessKind::Read);
+        let flags = self.ds_flags(AccessKind::Read);
         self.demand(addr, width, flags, TraceOp::DsLoad, None)
     }
 
     fn ds_store(&mut self, addr: PhysAddr, width: Width, value: u64) {
-        let flags = self.ds_flags(ctbia_sim::cache::AccessKind::Write);
+        let flags = self.ds_flags(AccessKind::Write);
         self.demand(addr, width, flags, TraceOp::DsStore, Some(value));
     }
 
@@ -1481,15 +1491,11 @@ impl CtMemory for Machine {
         // full `ds_load`, which charges itself. With nothing observing the
         // interleaving (see `sweep_fast_path`), the accumulated totals are
         // identical to the per-line loop's.
-        let flat = self.ds_hit_sweep_cycles();
         let mut ret = 0u64;
         let mut hits = 0u64;
         for &line in lines {
             let addr = line.with_offset(offset);
-            let v = if self
-                .hier
-                .l1d_access_if_hit(line, ctbia_sim::cache::AccessKind::Read, false)
-            {
+            let v = if self.hier.l1d_access_if_hit(line, AccessKind::Read, false) {
                 hits += 1;
                 self.ram.read(addr, width.bytes())
             } else {
@@ -1497,13 +1503,7 @@ impl CtMemory for Machine {
             };
             ret = select(ct_eq(addr.raw(), target.raw()), v, ret);
         }
-        let insts = hits + lines.len() as u64 * extra_insts;
-        self.insts += insts;
-        let compute = insts * self.cost.cycles_per_inst;
-        let sweep = hits * flat;
-        self.cycles += compute + sweep;
-        self.phases.add(Phase::Compute, compute);
-        self.phases.add(Phase::LinearizeSweep, sweep);
+        self.charge_sweep_hits(hits, lines.len(), extra_insts);
         ret
     }
 
@@ -1529,38 +1529,24 @@ impl CtMemory for Machine {
         // Read-modify-write sweep, batched the same way as the load sweep:
         // each line's load and store hit the L1d inline, misses fall back
         // to the charging `ds_load`/`ds_store`.
-        let flat = self.ds_hit_sweep_cycles();
         let mut hits = 0u64;
         for &line in lines {
             let addr = line.with_offset(offset);
-            let old =
-                if self
-                    .hier
-                    .l1d_access_if_hit(line, ctbia_sim::cache::AccessKind::Read, false)
-                {
-                    hits += 1;
-                    self.ram.read(addr, width.bytes())
-                } else {
-                    self.ds_load(addr, width)
-                };
+            let old = if self.hier.l1d_access_if_hit(line, AccessKind::Read, false) {
+                hits += 1;
+                self.ram.read(addr, width.bytes())
+            } else {
+                self.ds_load(addr, width)
+            };
             let new = select(ct_eq(addr.raw(), target.raw()), value & width.mask(), old);
-            if self
-                .hier
-                .l1d_access_if_hit(line, ctbia_sim::cache::AccessKind::Write, false)
-            {
+            if self.hier.l1d_access_if_hit(line, AccessKind::Write, false) {
                 hits += 1;
                 self.ram.write(addr, width.bytes(), new);
             } else {
                 self.ds_store(addr, width, new);
             }
         }
-        let insts = hits + lines.len() as u64 * extra_insts;
-        self.insts += insts;
-        let compute = insts * self.cost.cycles_per_inst;
-        let sweep = hits * flat;
-        self.cycles += compute + sweep;
-        self.phases.add(Phase::Compute, compute);
-        self.phases.add(Phase::LinearizeSweep, sweep);
+        self.charge_sweep_hits(hits, lines.len(), extra_insts);
     }
 
     fn dram_load(&mut self, addr: PhysAddr, width: Width) -> u64 {
@@ -1592,13 +1578,14 @@ impl CtMemory for Machine {
         if self.spec_window == 0 {
             return;
         }
-        self.spec.branches += 1;
+        self.run.spec.branches += 1;
         // Per-site 2-bit saturating counter, deterministically seeded so
         // the same (spec_seed, site) pair always mispredicts at the same
         // points of the branch history — goldens and the oracle depend on
         // reproducibility, not on modeling any particular frontend.
         let seed = self.spec_seed;
         let ctr = self
+            .run
             .spec_predictor
             .entry(site)
             .or_insert_with(|| (splitmix64(seed ^ site) & 3) as u8);
@@ -1613,199 +1600,69 @@ impl CtMemory for Machine {
         if predict_taken == taken {
             return;
         }
-        self.spec.mispredicts += 1;
+        self.run.spec.mispredicts += 1;
         debug_assert!(
-            !self.spec_active,
+            !self.run.spec_active,
             "nested speculation windows are not modeled"
         );
-        self.spec_active = true;
-        self.spec_used = 0;
+        self.run.spec_active = true;
+        self.run.spec_used = 0;
         wrong_path(self);
-        self.spec_active = false;
-        let accesses = u64::from(self.spec_used);
-        self.spec.squashes += 1;
+        self.run.spec_active = false;
+        let accesses = u64::from(self.run.spec_used);
+        self.run.spec.squashes += 1;
         self.emit(EventKind::Squash { site, accesses });
-        self.spec_used = 0;
+        self.run.spec_used = 0;
     }
 
     fn ct_load(&mut self, addr: PhysAddr) -> CtLoad {
-        debug_assert!(
-            !self.spec_active,
-            "CT micro-ops are not issued speculatively"
-        );
-        let placement = self
-            .placement
-            .expect("CTLoad requires a machine with a BIA");
-        self.ct_loads += 1;
-        self.charge_inst(1);
-        let aligned = addr.align_down_u64();
-        if let Some(slices) = &mut self.probe_slices {
-            slices.push(self.hier.llc_slice_of(aligned.line()));
-        }
-        let snap = if self.sink.is_some() {
-            Some(self.hier.stats())
-        } else {
-            None
-        };
-        let (probe, probe_latency) = self.hier.ct_probe(aligned.line(), placement.monitor());
-        if let Some(aud) = &mut self.auditor {
-            aud.mirror_access(addr);
-        }
-        let (mut view, bia_latency, group, bit) = {
-            let bia = self
-                .bia
-                .as_mut()
-                .expect("BIA present when placement is set");
-            let view = bia.access_for(addr);
-            let (group, bit) = bia.locate(aligned.line());
-            (view, bia.latency(), group, bit)
-        };
-        let mut degraded_view = false;
-        if self.robustness_active() {
-            if self.degraded.contains(&group) {
-                // Degraded group: a zero view makes Algorithm 2 fetch the
-                // whole dataflow set — full linearization.
-                self.robust.degraded_ct_ops += 1;
-                degraded_view = true;
-                view = ctbia_core::bia::BiaView {
-                    existence: 0,
-                    dirtiness: 0,
-                };
-            } else if view.existence & (1 << bit) != 0 && !probe.resident {
-                // The BIA claims the target line resident but the probe
-                // disagrees — a desync the subset invariant forbids.
-                self.robust.inline_desyncs += 1;
-                self.degrade_group(group);
-                degraded_view = true;
-                view = ctbia_core::bia::BiaView {
-                    existence: 0,
-                    dirtiness: 0,
-                };
-            }
-        }
-        let ct_cycles = self.cost.ct_cycles(probe_latency, bia_latency);
-        let ct_phase = if degraded_view {
-            Phase::Degraded
-        } else {
-            Phase::BiaMaintenance
-        };
-        self.charge(ct_phase, ct_cycles);
-        if let Some(snap) = snap {
-            let delta = self.hier.stats() - snap;
-            self.emit(EventKind::CtOp {
+        let (level, aligned, snap) = self.ct_begin(addr, false);
+        let (probe, probe_latency) = self.hier.ct_probe(aligned.line(), level);
+        let (view, bia_latency, at) = self.bia_lookup(addr, aligned);
+        // A target the BIA claims resident but the probe misses is a
+        // desync the subset invariant forbids.
+        let existence = self.ct_finish(
+            CtResponse {
                 store: false,
-                line: aligned.line().raw(),
                 bitmap: view.existence,
-                cycles: ct_cycles,
-                degraded: degraded_view,
-                delta,
-            });
-        }
+            },
+            aligned,
+            at,
+            probe.resident,
+            self.cost.ct_cycles(probe_latency, bia_latency),
+            snap,
+        );
         let data = if probe.resident {
             self.ram.read(aligned, 8)
         } else {
             0
         };
-        if let Some(obs) = &mut self.ct_obs {
-            obs.push(CtResponse {
-                store: false,
-                bitmap: view.existence,
-            });
-        }
-        CtLoad {
-            data,
-            existence: view.existence,
-        }
+        CtLoad { data, existence }
     }
 
     fn ct_store(&mut self, addr: PhysAddr, data: u64) -> CtStore {
-        debug_assert!(
-            !self.spec_active,
-            "CT micro-ops are not issued speculatively"
-        );
-        let placement = self
-            .placement
-            .expect("CTStore requires a machine with a BIA");
-        self.ct_stores += 1;
-        self.charge_inst(1);
-        let aligned = addr.align_down_u64();
-        if let Some(slices) = &mut self.probe_slices {
-            slices.push(self.hier.llc_slice_of(aligned.line()));
-        }
-        if let Some(aud) = &mut self.auditor {
-            aud.mirror_access(addr);
-        }
-        let snap = if self.sink.is_some() {
-            Some(self.hier.stats())
-        } else {
-            None
-        };
-        let (mut view, bia_latency, group, bit) = {
-            let bia = self
-                .bia
-                .as_mut()
-                .expect("BIA present when placement is set");
-            let view = bia.access_for(addr);
-            let (group, bit) = bia.locate(aligned.line());
-            (view, bia.latency(), group, bit)
-        };
-        let (wrote, probe_latency) = self
-            .hier
-            .ct_write_if_dirty(aligned.line(), placement.monitor());
-        let mut degraded_view = false;
-        if self.robustness_active() {
-            if self.degraded.contains(&group) {
-                self.robust.degraded_ct_ops += 1;
-                degraded_view = true;
-                view = ctbia_core::bia::BiaView {
-                    existence: 0,
-                    dirtiness: 0,
-                };
-            } else if view.dirtiness & (1 << bit) != 0 && !wrote {
-                // Stale dirtiness on the target would make Algorithm 3
-                // skip the read-modify-write while the CTStore also
-                // refused to write: a lost store. A zero view forces the
-                // RMW path.
-                self.robust.inline_desyncs += 1;
-                self.degrade_group(group);
-                degraded_view = true;
-                view = ctbia_core::bia::BiaView {
-                    existence: 0,
-                    dirtiness: 0,
-                };
-            }
-        }
-        let ct_cycles = self.cost.ct_cycles(probe_latency, bia_latency);
-        let ct_phase = if degraded_view {
-            Phase::Degraded
-        } else {
-            Phase::BiaMaintenance
-        };
-        self.charge(ct_phase, ct_cycles);
-        if let Some(snap) = snap {
-            let delta = self.hier.stats() - snap;
-            self.emit(EventKind::CtOp {
+        let (level, aligned, snap) = self.ct_begin(addr, true);
+        let (view, bia_latency, at) = self.bia_lookup(addr, aligned);
+        let (wrote, probe_latency) = self.hier.ct_write_if_dirty(aligned.line(), level);
+        // Stale dirtiness on the target would make Algorithm 3 skip the
+        // read-modify-write while the CTStore also refused to write: a lost
+        // store. A zero view forces the RMW path.
+        let dirtiness = self.ct_finish(
+            CtResponse {
                 store: true,
-                line: aligned.line().raw(),
                 bitmap: view.dirtiness,
-                cycles: ct_cycles,
-                degraded: degraded_view,
-                delta,
-            });
-        }
+            },
+            aligned,
+            at,
+            wrote,
+            self.cost.ct_cycles(probe_latency, bia_latency),
+            snap,
+        );
         self.sync_bia();
         if wrote {
             self.ram.write(aligned, 8, data);
         }
-        if let Some(obs) = &mut self.ct_obs {
-            obs.push(CtResponse {
-                store: true,
-                bitmap: view.dirtiness,
-            });
-        }
-        CtStore {
-            dirtiness: view.dirtiness,
-        }
+        CtStore { dirtiness }
     }
 
     fn exec(&mut self, insts: u64) {
@@ -1813,9 +1670,9 @@ impl CtMemory for Machine {
     }
 
     fn note_linearize_pass(&mut self, info: LinearizeInfo) {
-        self.linearize.passes += 1;
-        self.linearize.lines_skipped += u64::from(info.skipped);
-        self.linearize.lines_fetched += u64::from(info.fetched);
+        self.run.linearize.passes += 1;
+        self.run.linearize.lines_skipped += u64::from(info.skipped);
+        self.run.linearize.lines_fetched += u64::from(info.fetched);
         self.emit(EventKind::LinearizePass {
             store: info.store,
             software: info.software,
@@ -1834,11 +1691,11 @@ impl CtMemory for Machine {
     }
 
     fn taint_enabled(&self) -> bool {
-        self.taint.is_some()
+        self.att.taint.is_some()
     }
 
     fn taint_of(&self, addr: PhysAddr, width: Width) -> TaintLabel {
-        let Some(t) = &self.taint else {
+        let Some(t) = &self.att.taint else {
             return TaintLabel::PUBLIC;
         };
         let mut label = TaintLabel::PUBLIC;
@@ -1851,7 +1708,7 @@ impl CtMemory for Machine {
     }
 
     fn set_taint(&mut self, addr: PhysAddr, width: Width, label: TaintLabel) {
-        let Some(t) = &mut self.taint else { return };
+        let Some(t) = &mut self.att.taint else { return };
         for i in 0..width.bytes() {
             if label.is_secret() {
                 t.shadow.insert(addr.raw() + i, label);
@@ -1862,7 +1719,7 @@ impl CtMemory for Machine {
     }
 
     fn report_leak(&mut self, violation: LeakViolation) {
-        let Some(t) = &mut self.taint else { return };
+        let Some(t) = &mut self.att.taint else { return };
         t.reported += 1;
         // Keep at most the first 64 structured reports; the count keeps
         // climbing so a pathological workload can't balloon memory.
@@ -2101,7 +1958,7 @@ mod tests {
             // then reset; the same drive must be byte-identical.
             let mut reused = Machine::new(config).unwrap();
             let junk = reused.alloc(8192, 64).unwrap();
-            reused.enable_trace();
+            reused.enable_observation();
             for i in 0..512u64 {
                 let a = junk.offset(i * 13 % 2048 * 4);
                 if i % 2 == 0 {
@@ -2122,11 +1979,11 @@ mod tests {
     fn trace_records_demand_lines_only() {
         let mut m = Machine::with_bia(BiaPlacement::L1d);
         let a = m.alloc(64, 64).unwrap();
-        m.enable_trace();
+        m.enable_observation();
         m.load_u64(a);
         let _ = m.ct_load(a); // must not appear
         m.ds_store(a, Width::U64, 3);
-        let trace = m.take_trace();
+        let trace = m.take_observation().demand;
         assert_eq!(
             trace,
             vec![
@@ -2140,7 +1997,7 @@ mod tests {
                 },
             ]
         );
-        assert!(m.take_trace().is_empty(), "trace disabled after take");
+        assert!(m.take_observation().is_empty(), "recording off after take");
     }
 
     #[test]

@@ -222,10 +222,10 @@ mod tests {
             let mut m = Machine::with_bia(BiaPlacement::L1d);
             let arr =
                 SecureArray::from_fn(&mut m, Width::U32, 512, Strategy::bia(), |i| i).unwrap();
-            m.enable_trace();
+            m.enable_observation();
             let v = arr.get(&mut m, secret);
             arr.set(&mut m, (v + 1) % 512, 9);
-            m.take_trace()
+            m.take_observation().demand
         };
         assert_eq!(trace_for(0), trace_for(511));
     }

@@ -1,6 +1,6 @@
 //! Transport abstraction: the daemon speaks identical `ctbia-serve-v1`
 //! envelopes over a Unix domain socket and a TCP listener, so connection
-//! handling is generic over a small [`Conn`] trait implemented for both
+//! handling is generic over a small `Conn` trait implemented for both
 //! stream types.
 //!
 //! The module also owns [`bind_tcp`], the TCP twin of the UDS

@@ -38,7 +38,7 @@
 //!   once.
 //! * **Supervision.** Jobs execute under `catch_unwind`; a panicking cell
 //!   answers its waiters with `cell_failed` and the supervisor respawns
-//!   the poisoned worker (see [`crate::supervisor`]). The same thread is
+//!   the poisoned worker (see the `supervisor` module). The same thread is
 //!   the deadline watchdog: a job past its deadline is answered
 //!   `deadline-exceeded` and unhooked without blocking the queue.
 //! * **Crash recovery.** At startup the memo cache is scanned

@@ -4,7 +4,7 @@
 //! [`VerifyEngine`] is the one `ctbia_harness::Engine` over
 //! [`VerifyCell`]s: verdicts memoize under the cell's content digest in
 //! the verifier's own
-//! [`VERIFY_SCHEMA_VERSION`](crate::cell::VERIFY_SCHEMA_VERSION)
+//! [`VERIFY_SCHEMA_VERSION`]
 //! encoding, so verify cells and simulation cells share one store
 //! without colliding.
 

@@ -76,9 +76,9 @@ impl Calibrator {
 fn run_trace(readings: &[u64]) -> (u32, Vec<TraceEvent>, u64) {
     let mut m = Machine::with_bia(BiaPlacement::L1d);
     let cal = Calibrator::new(&mut m);
-    m.enable_trace();
+    m.enable_observation();
     let (sum, cost) = m.measure(|m| readings.iter().map(|&r| cal.step(m, r)).sum::<u32>());
-    (sum, m.take_trace(), cost.cycles)
+    (sum, m.take_observation().demand, cost.cycles)
 }
 
 fn main() {

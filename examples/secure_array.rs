@@ -81,9 +81,9 @@ fn main() {
     let trace = |age: u64, bmi: u64| {
         let mut m = Machine::with_bia(BiaPlacement::L1d);
         let s = Scorer::new(&mut m, Strategy::bia());
-        m.enable_trace();
+        m.enable_observation();
         s.score(&mut m, age, bmi);
-        m.take_trace()
+        m.take_observation().demand
     };
     assert_eq!(trace(25, 20), trace(85, 39));
     println!("\ntraces for different patients are identical — attributes stay private.");

@@ -12,9 +12,11 @@
 #                                workspace build never compiles it)
 #   4. cargo test -q          -- the full unit/property/integration suite
 #   5. cargo bench --no-run   -- the criterion microbenches still compile
-#   6. golden-trace suite     -- regenerated JSONL traces byte-match the
+#   6. cargo doc -D warnings  -- the API docs build without a broken or
+#                                private intra-doc link
+#   7. golden-trace suite     -- regenerated JSONL traces byte-match the
 #                                committed fixtures under tests/golden/
-#   7. ctbia bench --quick --metrics
+#   8. ctbia bench --quick --metrics
 #                             -- sweep-engine smoke run; BENCH_sweep.json
 #                                must exist, be byte-deterministic, and
 #                                show a fully-memoized warm phase;
@@ -22,21 +24,21 @@
 #                                serial sim-accesses/s must clear a
 #                                conservative perf floor and the run must
 #                                land in BENCH_history.jsonl
-#   8. ctbia trace smoke      -- cycle attribution reconciles (the command
+#   9. ctbia trace smoke      -- cycle attribution reconciles (the command
 #                                exits non-zero if phases don't sum)
-#   9. ctbia verify --quick   -- leakage-verifier smoke run: the CT grid
+#  10. ctbia verify --quick   -- leakage-verifier smoke run: the CT grid
 #                                verifies clean, the intentionally leaky
 #                                control is caught (non-zero exit), and
 #                                the spectre gadget verifies clean at
 #                                spec-window 0 but is caught — with a
 #                                wrong-path-fill provenance report — at
 #                                spec-window 32
-#  10. ctbia analyze --quick  -- static-certification smoke run (hard
+#  11. ctbia analyze --quick  -- static-certification smoke run (hard
 #                                60s timeout): the quick grid certifies
 #                                0 bits for every protected cell, flags
 #                                every insecure cell, and the leaky
 #                                control fails `ctbia analyze` non-zero
-#  11. serve suites + smoke    -- the e2e/protocol/stress/chaos/tenants/
+#  12. serve suites + smoke    -- the e2e/protocol/stress/chaos/tenants/
 #                                loadgen suites for the batch-simulation
 #                                daemon (chaos runs its first scenario
 #                                over TCP), a `ctbia loadgen --quick`
@@ -52,7 +54,7 @@
 #                                client step runs under a hard `timeout`
 #                                so a wedged daemon fails the gate
 #                                instead of hanging it
-#  12. chaos smoke             -- a daemon with one injected worker panic
+#  13. chaos smoke             -- a daemon with one injected worker panic
 #                                answers the poisoned submit cell-failed,
 #                                respawns the worker, serves the retry,
 #                                reports the restart via `ctbia health`,
@@ -71,6 +73,7 @@ run cargo build --workspace --release
 run cargo build --release --offline --manifest-path perfbench/Cargo.toml
 run cargo test --workspace -q
 run cargo bench --workspace --no-run
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 run cargo test -q --test golden_traces
 echo "==> golden traces byte-match their fixtures"

@@ -117,7 +117,7 @@ fn combined_ctload_closes_the_race() {
         let base = s.base;
         // Attacker evicts line 4 before the protected access.
         s.m.flush_line(base.offset(4 * 64));
-        s.m.enable_trace();
+        s.m.enable_observation();
         let v = ct_load_bia(
             &mut s.m,
             &s.ds,
@@ -126,7 +126,7 @@ fn combined_ctload_closes_the_race() {
             BiaOptions::default(),
         );
         assert_eq!(v, secret_line * 8);
-        (residency(&s), s.m.take_trace())
+        (residency(&s), s.m.take_observation().demand)
     };
     let a = final_state(1);
     let b = final_state(4);

@@ -94,12 +94,12 @@ fn security_holds_when_interference_is_secret_independent() {
         let base = m.alloc_u32_array(512).unwrap();
         let ds = DataflowSet::contiguous(base, 512 * 4);
         m.set_interference(Some(hostile(base, 512 * 4, 7)));
-        m.enable_trace();
+        m.enable_observation();
         for k in 0..32u64 {
             let idx = (secret + k * 13) % 512;
             let _ = Strategy::bia().load(&mut m, &ds, base.offset(idx * 4), Width::U32);
         }
-        m.take_trace()
+        m.take_observation().demand
     };
     assert_eq!(trace_for(5), trace_for(444));
 }

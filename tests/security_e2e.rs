@@ -23,9 +23,9 @@ fn trace_of(
         Some(p) => Machine::with_bia(p),
         None => Machine::insecure(),
     };
-    m.enable_trace();
+    m.enable_observation();
     let _ = make_wl(seed).run(&mut m, strategy);
-    m.take_trace()
+    m.take_observation().demand
 }
 
 fn assert_trace_secret_independence(name: &str, make_wl: impl Fn(u64) -> Box<dyn Workload> + Copy) {
