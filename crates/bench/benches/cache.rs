@@ -1,5 +1,6 @@
 //! Criterion microbenches of the cache-hierarchy substrate: hit path,
-//! miss path, probe path, instruction fetch, the packed-set find path,
+//! L2-hit streams (the L1d-miss regime of a spilling dataflow set), miss
+//! path, probe path, instruction fetch, the packed-set find path,
 //! occupancy-word sweeps, and the inline-monitor vs. event-buffer BIA
 //! sync paths (host-time throughput of the simulator).
 
@@ -22,6 +23,58 @@ fn bench_paths(c: &mut Criterion) {
         let line = LineAddr::new(42);
         h.access(line, AccessFlags::read());
         b.iter(|| black_box(h.access(line, AccessFlags::read())));
+    });
+
+    // A 256 KiB cyclic stream: larger than the 64 KiB L1d, inside the
+    // 1 MiB L2, so after one warm-up pass every access misses L1d and hits
+    // L2 — the walk a linearization sweep over a spilling set makes.
+    const L2_STREAM_LINES: u64 = (256 << 10) / 64;
+    let l2_stream = |monitor: Option<MonitorLevel>| {
+        let mut h = Hierarchy::new(HierarchyConfig::paper_table1()).unwrap();
+        h.set_monitor(monitor);
+        for i in 0..L2_STREAM_LINES {
+            h.access(LineAddr::new(i), AccessFlags::read());
+        }
+        let mut scratch = Vec::new();
+        h.drain_events_into(&mut scratch);
+        h
+    };
+
+    group.bench_function("l2_hit_stream_read", |b| {
+        let mut h = l2_stream(None);
+        let mut i = 0u64;
+        b.iter(|| {
+            i = i.wrapping_add(1);
+            black_box(h.access(LineAddr::new(i % L2_STREAM_LINES), AccessFlags::read()))
+        });
+    });
+
+    // Read, then write-hit the same line: every L1d victim is dirty, so each
+    // miss also writes back into the L2.
+    group.bench_function("l2_hit_stream_rmw", |b| {
+        let mut h = l2_stream(None);
+        let mut i = 0u64;
+        b.iter(|| {
+            i = i.wrapping_add(1);
+            let line = LineAddr::new(i % L2_STREAM_LINES);
+            h.access(line, AccessFlags::read());
+            black_box(h.access(line, AccessFlags::write()))
+        });
+    });
+
+    // The read stream with an L1d-placed BIA consuming the events inline.
+    group.bench_function("l2_hit_stream_bia", |b| {
+        let mut h = l2_stream(Some(MonitorLevel::L1d));
+        let mut bia = Bia::new(BiaConfig::paper_table1()).unwrap();
+        for p in 0..L2_STREAM_LINES / 64 {
+            bia.access_for(ctbia_sim::addr::PhysAddr::new(p << 12));
+        }
+        let mut i = 0u64;
+        b.iter(|| {
+            i = i.wrapping_add(1);
+            let line = LineAddr::new(i % L2_STREAM_LINES);
+            black_box(h.access_with(line, AccessFlags::read(), &mut bia))
+        });
     });
 
     group.bench_function("dram_miss_stream", |b| {

@@ -207,14 +207,7 @@ pub trait CtMemory {
         target: PhysAddr,
         extra_insts: u64,
     ) -> u64 {
-        let mut ret = 0u64;
-        for &line in lines {
-            let addr = line.with_offset(offset);
-            let v = self.ds_load(addr, width);
-            ret = select(ct_eq(addr.raw(), target.raw()), v, ret);
-            self.exec(extra_insts);
-        }
-        ret
+        sweep_load_per_line(self, lines, offset, width, target, extra_insts)
     }
 
     /// Sweeps a software dataflow-linearized **store** over `lines`: a
@@ -231,13 +224,7 @@ pub trait CtMemory {
         value: u64,
         extra_insts: u64,
     ) {
-        for &line in lines {
-            let addr = line.with_offset(offset);
-            let old = self.ds_load(addr, width);
-            let new = select(ct_eq(addr.raw(), target.raw()), value & width.mask(), old);
-            self.ds_store(addr, width, new);
-            self.exec(extra_insts);
-        }
+        sweep_store_per_line(self, lines, offset, width, target, value, extra_insts);
     }
 
     /// Reports one linearization pass (see [`LinearizeInfo`]). The
@@ -264,6 +251,46 @@ pub trait CtMemory {
         _taken: bool,
         _wrong_path: &mut dyn FnMut(&mut dyn CtMemory),
     ) {
+    }
+}
+
+/// The per-line loop of [`CtMemory::ds_sweep_load`]: its default, and the
+/// slow path of an overriding machine.
+pub fn sweep_load_per_line<M: CtMemory + ?Sized>(
+    m: &mut M,
+    lines: &[LineAddr],
+    offset: u64,
+    width: Width,
+    target: PhysAddr,
+    extra_insts: u64,
+) -> u64 {
+    let mut ret = 0u64;
+    for &line in lines {
+        let addr = line.with_offset(offset);
+        let v = m.ds_load(addr, width);
+        ret = select(ct_eq(addr.raw(), target.raw()), v, ret);
+        m.exec(extra_insts);
+    }
+    ret
+}
+
+/// The per-line loop of [`CtMemory::ds_sweep_store`]: its default, and the
+/// slow path of an overriding machine.
+pub fn sweep_store_per_line<M: CtMemory + ?Sized>(
+    m: &mut M,
+    lines: &[LineAddr],
+    offset: u64,
+    width: Width,
+    target: PhysAddr,
+    value: u64,
+    extra_insts: u64,
+) {
+    for &line in lines {
+        let addr = line.with_offset(offset);
+        let old = m.ds_load(addr, width);
+        let new = select(ct_eq(addr.raw(), target.raw()), value & width.mask(), old);
+        m.ds_store(addr, width, new);
+        m.exec(extra_insts);
     }
 }
 

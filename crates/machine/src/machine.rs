@@ -12,7 +12,9 @@ use crate::cost::CostModel;
 use crate::counters::{Counters, RobustnessStats, SpecStats, TaintStats};
 use crate::memory::{OutOfSimRam, SimRam};
 use ctbia_core::bia::{Bia, BiaConfig, BiaConfigError, BiaView};
-use ctbia_core::ctmem::{CtLoad, CtMemory, CtStore, LinearizeInfo, Width};
+use ctbia_core::ctmem::{
+    sweep_load_per_line, sweep_store_per_line, CtLoad, CtMemory, CtStore, LinearizeInfo, Width,
+};
 use ctbia_core::predicate::{ct_eq, select};
 use ctbia_core::taint::{LeakViolation, TaintLabel};
 use ctbia_sim::addr::{LineAddr, PhysAddr};
@@ -20,7 +22,8 @@ use ctbia_sim::cache::AccessKind;
 use ctbia_sim::config::{CacheConfig, ConfigError, HierarchyConfig};
 use ctbia_sim::fault::{FaultConfig, FaultInjector, StructuralFault};
 use ctbia_sim::hierarchy::{
-    AccessFlags, AccessResult, CacheEvent, Hierarchy, Level, MonitorLevel, NullMonitor,
+    AccessFlags, AccessResult, CacheEvent, CacheMonitor, Hierarchy, Level, MonitorLevel,
+    NullMonitor,
 };
 use ctbia_sim::HierarchyStats;
 use ctbia_trace::{EventKind, LinearizeStats, MemOp, Phase, PhaseCycles, TraceRecord, TraceSink};
@@ -1174,7 +1177,7 @@ impl Machine {
             // cache-service remainder, which belongs to the linearization
             // sweep for dataflow-set traffic and to plain demand otherwise.
             // Cache hits have no stall portion; skip the zero-cycle charge.
-            let dram_part = mem_cycles.min(result.dram_latency);
+            let (dram_part, service) = split_stall(mem_cycles, result.dram_latency);
             if dram_part > 0 {
                 self.charge(Phase::DramStall, dram_part);
             }
@@ -1183,7 +1186,7 @@ impl Machine {
             } else {
                 Phase::DemandAccess
             };
-            self.charge(service_phase, mem_cycles - dram_part);
+            self.charge(service_phase, service);
         }
         if let Some(snap) = snap {
             let delta = self.hier.stats() - snap;
@@ -1236,29 +1239,11 @@ impl Machine {
 
     /// The hierarchy walk of one demand access: dispatches it (inline BIA,
     /// [`NullMonitor`], or buffered for the robustness layer) and reports
-    /// whether the nearest level its routing allows served it.
+    /// whether the nearest level its routing allows served it. A
+    /// non-bypassing access is one L1d lookup when it hits; a miss
+    /// continues from L1d without looking it up again
+    /// ([`Hierarchy::access_with`]).
     fn walk(&mut self, line: LineAddr, flags: AccessFlags, inline: bool) -> (AccessResult, bool) {
-        // Unmonitored machines take an L1d-hit fast path: the hit performs
-        // the cache's exact demand bookkeeping and nothing else in the walk
-        // — deeper probes, fills, prefetch, events — can run, so the full
-        // `access_with` is only needed when the hit-only attempt misses.
-        let plain = !flags.dram_direct && !flags.bypass_l1 && !flags.bypass_l2;
-        let unmonitored = self.bia.is_none() && self.hier.monitor().is_none();
-        if plain
-            && unmonitored
-            && inline
-            && self
-                .hier
-                .l1d_access_if_hit(line, flags.kind, flags.update_replacement)
-        {
-            let latency = self.hier.cache(Level::L1d).hit_latency();
-            let result = AccessResult {
-                latency,
-                hit_level: Level::L1d,
-                dram_latency: 0,
-            };
-            return (result, true);
-        }
         let result = match (&mut self.bia, inline) {
             (Some(bia), true) => self.hier.access_with(line, flags, bia),
             // No monitored level means no events can be emitted at all, so
@@ -1268,17 +1253,7 @@ impl Machine {
             }
             _ => self.hier.access(line, flags),
         };
-        let nearest_level = if flags.bypass_l2 {
-            Level::Llc
-        } else if flags.bypass_l1 {
-            Level::L2
-        } else {
-            Level::L1d
-        };
-        (
-            result,
-            !flags.dram_direct && result.hit_level == nearest_level,
-        )
+        (result, nearest(flags, result))
     }
 
     fn ds_flags(&self, kind: AccessKind) -> AccessFlags {
@@ -1300,36 +1275,64 @@ impl Machine {
         flags
     }
 
-    /// Whether a software DS sweep may take the batched fast path: nothing
-    /// may observe or perturb the per-access interleaving (no observer, no
-    /// buffered event stream, no co-runner), the hierarchy must be
-    /// unmonitored with no BIA or placement routing, and silent-store
-    /// squashing must be off. Under these conditions every per-line charge
-    /// is a plain accumulation and an L1d hit has no side effects beyond
-    /// the cache's own bookkeeping, so the batched sweep is state-for-state
-    /// identical to the loop.
+    /// Whether a dataflow-set sweep may take the batched fast path:
+    /// nothing may observe or perturb the per-access interleaving (no
+    /// observer, no buffered event stream, no co-runner, no wrong-path
+    /// window), any monitored level must be consumed inline by the BIA, and
+    /// silent-store squashing must be off. Under these conditions each
+    /// access's effects are its hierarchy walk (with the BIA updated at the
+    /// emit sites) plus charges that only accumulate, so the batched sweep
+    /// is state-for-state identical to the per-line loop.
     #[inline]
     fn sweep_fast_path(&self) -> bool {
         !self.run.spec_active
             && !self.att.observed()
             && !self.att.buffered()
             && self.att.corunner.is_none()
-            && self.bia.is_none()
-            && self.hier.monitor().is_none()
-            && self.placement.is_none()
+            && (self.bia.is_some() || self.hier.monitor().is_none())
             && !self.silent_stores
     }
 
-    /// Charges the inline L1d hits of a batched DS sweep in one step: one
-    /// instruction plus the flat DS-hit service (what [`Machine::demand`]
-    /// charges a nearest-level hit on the dataflow stream) per hit, and
-    /// `extra_insts` per swept line.
-    fn charge_sweep_hits(&mut self, hits: u64, lines: usize, extra_insts: u64) {
-        self.charge_inst(hits + lines as u64 * extra_insts);
+    /// One dataflow-set access of a batched sweep. An L1d hit is the
+    /// hit-only probe and a counted hit; anything else is walked (a miss
+    /// continues from the probe without a second L1d lookup) and its
+    /// charge split exactly as [`Machine::demand`] splits it.
+    // Forced inline, like `sweep_walk`: left to the inliner, the sweep
+    // loops called it out of line and the L1d-resident CT sweep ran about
+    // 25% slower than the inlined hit probe it replaced (histogram 5000
+    // under CT-AVX2: 73 → 94 ms on a 2-vCPU x86-64 VM).
+    #[inline(always)]
+    fn sweep_access(&mut self, line: LineAddr, flags: AccessFlags, tally: &mut SweepTally) {
+        tally.accesses += 1;
+        let result = match &mut self.bia {
+            Some(bia) => sweep_walk(&mut self.hier, line, flags, bia),
+            None => sweep_walk(&mut self.hier, line, flags, &mut NullMonitor),
+        };
+        let Some(result) = result else {
+            tally.l1d_hits += 1;
+            return;
+        };
+        let mem_cycles = self
+            .cost
+            .memory_cycles(result.latency, nearest(flags, result), true);
+        let (dram_part, service) = split_stall(mem_cycles, result.dram_latency);
+        tally.dram_stall += dram_part;
+        tally.service += service;
+    }
+
+    /// Applies a batched sweep's charges in one step: one instruction per
+    /// access plus `extra_insts` per swept line, the flat DS-hit service
+    /// per L1d hit (what [`Machine::demand`] charges a nearest-level hit on
+    /// the dataflow stream), and the other accesses' stall and service.
+    fn charge_sweep(&mut self, tally: SweepTally, lines: usize, extra_insts: u64) {
+        self.charge_inst(tally.accesses + lines as u64 * extra_insts);
+        if tally.dram_stall > 0 {
+            self.charge(Phase::DramStall, tally.dram_stall);
+        }
         let flat = self
             .cost
             .memory_cycles(self.hier.cache(Level::L1d).hit_latency(), true, true);
-        self.charge(Phase::LinearizeSweep, hits * flat);
+        self.charge(Phase::LinearizeSweep, tally.l1d_hits * flat + tally.service);
     }
 
     /// The head both CT micro-ops share: counts and issues the op, records
@@ -1441,6 +1444,60 @@ impl Machine {
     }
 }
 
+/// Whether `result` came from the nearest level `flags` route to.
+#[inline]
+fn nearest(flags: AccessFlags, result: AccessResult) -> bool {
+    let nearest_level = if flags.bypass_l2 {
+        Level::Llc
+    } else if flags.bypass_l1 {
+        Level::L2
+    } else {
+        Level::L1d
+    };
+    !flags.dram_direct && result.hit_level == nearest_level
+}
+
+/// Splits an architectural access's `mem_cycles` into the DRAM-stall
+/// portion and the cache-service remainder.
+#[inline]
+fn split_stall(mem_cycles: u64, dram_latency: u64) -> (u64, u64) {
+    let dram_part = mem_cycles.min(dram_latency);
+    (dram_part, mem_cycles - dram_part)
+}
+
+/// The hierarchy half of one batched-sweep access: `None` for an L1d hit
+/// taken by the hit-only probe, otherwise the walked result.
+#[inline(always)]
+fn sweep_walk<M: CacheMonitor>(
+    hier: &mut Hierarchy,
+    line: LineAddr,
+    flags: AccessFlags,
+    mon: &mut M,
+) -> Option<AccessResult> {
+    // `ds_flags` sets `bypass_l1` whenever it sets `bypass_l2`, and sweeps
+    // never go straight to DRAM.
+    if flags.bypass_l1 {
+        return Some(hier.access_with(line, flags, mon));
+    }
+    if hier.l1d_access_if_hit(line, flags.kind, flags.update_replacement, mon) {
+        return None;
+    }
+    Some(hier.access_after_l1d_miss(line, flags, mon))
+}
+
+/// The charges a batched sweep accumulates per access and applies once.
+#[derive(Debug, Default, Clone, Copy)]
+struct SweepTally {
+    /// Memory instructions retired (one per access).
+    accesses: u64,
+    /// Accesses the hit-only L1d probe served.
+    l1d_hits: u64,
+    /// DRAM-stall cycles of the other accesses.
+    dram_stall: u64,
+    /// Cache-service cycles of the other accesses.
+    service: u64,
+}
+
 impl CtMemory for Machine {
     fn load(&mut self, addr: PhysAddr, width: Width) -> u64 {
         self.demand(addr, width, AccessFlags::read(), TraceOp::Load, None)
@@ -1475,35 +1532,22 @@ impl CtMemory for Machine {
         extra_insts: u64,
     ) -> u64 {
         if !self.sweep_fast_path() {
-            let mut ret = 0u64;
-            for &line in lines {
-                let addr = line.with_offset(offset);
-                let v = self.ds_load(addr, width);
-                ret = select(ct_eq(addr.raw(), target.raw()), v, ret);
-                self.exec(extra_insts);
-            }
-            return ret;
+            return sweep_load_per_line(self, lines, offset, width, target, extra_insts);
         }
-        // Batched sweep: an L1d hit is handled inline (the cache performs
-        // its exact demand-hit bookkeeping, RAM supplies the data) and its
-        // charges — one instruction plus the flat DS-hit service — are
-        // accumulated and applied once at the end. Misses fall back to the
-        // full `ds_load`, which charges itself. With nothing observing the
-        // interleaving (see `sweep_fast_path`), the accumulated totals are
-        // identical to the per-line loop's.
+        // Batched sweep: each access walks the hierarchy in place and RAM
+        // supplies the data; the charges accumulate and are applied once at
+        // the end. With nothing observing the interleaving (see
+        // `sweep_fast_path`), the totals are identical to the loop's.
+        let flags = self.ds_flags(AccessKind::Read);
+        let mut tally = SweepTally::default();
         let mut ret = 0u64;
-        let mut hits = 0u64;
         for &line in lines {
             let addr = line.with_offset(offset);
-            let v = if self.hier.l1d_access_if_hit(line, AccessKind::Read, false) {
-                hits += 1;
-                self.ram.read(addr, width.bytes())
-            } else {
-                self.ds_load(addr, width)
-            };
+            self.sweep_access(line, flags, &mut tally);
+            let v = self.ram.read(addr, width.bytes());
             ret = select(ct_eq(addr.raw(), target.raw()), v, ret);
         }
-        self.charge_sweep_hits(hits, lines.len(), extra_insts);
+        self.charge_sweep(tally, lines.len(), extra_insts);
         ret
     }
 
@@ -1517,36 +1561,22 @@ impl CtMemory for Machine {
         extra_insts: u64,
     ) {
         if !self.sweep_fast_path() {
-            for &line in lines {
-                let addr = line.with_offset(offset);
-                let old = self.ds_load(addr, width);
-                let new = select(ct_eq(addr.raw(), target.raw()), value & width.mask(), old);
-                self.ds_store(addr, width, new);
-                self.exec(extra_insts);
-            }
+            sweep_store_per_line(self, lines, offset, width, target, value, extra_insts);
             return;
         }
-        // Read-modify-write sweep, batched the same way as the load sweep:
-        // each line's load and store hit the L1d inline, misses fall back
-        // to the charging `ds_load`/`ds_store`.
-        let mut hits = 0u64;
+        // Read-modify-write sweep, batched the same way as the load sweep.
+        let read = self.ds_flags(AccessKind::Read);
+        let write = self.ds_flags(AccessKind::Write);
+        let mut tally = SweepTally::default();
         for &line in lines {
             let addr = line.with_offset(offset);
-            let old = if self.hier.l1d_access_if_hit(line, AccessKind::Read, false) {
-                hits += 1;
-                self.ram.read(addr, width.bytes())
-            } else {
-                self.ds_load(addr, width)
-            };
+            self.sweep_access(line, read, &mut tally);
+            let old = self.ram.read(addr, width.bytes());
             let new = select(ct_eq(addr.raw(), target.raw()), value & width.mask(), old);
-            if self.hier.l1d_access_if_hit(line, AccessKind::Write, false) {
-                hits += 1;
-                self.ram.write(addr, width.bytes(), new);
-            } else {
-                self.ds_store(addr, width, new);
-            }
+            self.sweep_access(line, write, &mut tally);
+            self.ram.write(addr, width.bytes(), new);
         }
-        self.charge_sweep_hits(hits, lines.len(), extra_insts);
+        self.charge_sweep(tally, lines.len(), extra_insts);
     }
 
     fn dram_load(&mut self, addr: PhysAddr, width: Width) -> u64 {

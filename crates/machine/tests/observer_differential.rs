@@ -3,17 +3,21 @@
 //!
 //! Seeded random programs of every `CtMemory` operation the machine
 //! overrides — demand loads and stores, batched dataflow-set sweeps, CT
-//! micro-ops and speculated branches — run three times on identical
-//! machines: with nothing attached, with a `MetricsSink`, and with the
-//! observation recorder. Loaded values, final memory, every counter and
-//! the residency of every dataflow-set line must agree across the three,
-//! and the recorder must see exactly the accesses the sink saw. The
-//! grid covers the insecure machine (where unobserved sweeps take the
-//! batched L1d-hit path) and BIA machines at L1d, L2 and a sliced LLC,
-//! at speculation windows 0 and 32, over a dataflow set that fits in
-//! the L1d and one that spills into the L2.
+//! micro-ops, the BIA algorithms' group fetches and speculated branches —
+//! run three times on identical machines: with nothing attached, with a
+//! `MetricsSink`, and with the observation recorder. Loaded values, final
+//! memory, every counter and the residency of every dataflow-set line must
+//! agree across the three, and the recorder must see exactly the accesses
+//! the sink saw. Unobserved sweeps and group fetches take the batched path
+//! (hits and misses walked in place, charges applied once; on BIA machines
+//! with the BIA updated inline), observed ones the per-line path. The
+//! grid covers the insecure machine and BIA machines at L1d, L2 and a
+//! sliced LLC, at speculation windows 0 and 32, over a dataflow set that
+//! fits in the L1d and one that spills into the L2.
 
 use ctbia_core::ctmem::{CtMemory, Width};
+use ctbia_core::ds::DataflowSet;
+use ctbia_core::linearize::{ct_load_bia, ct_store_bia, BiaOptions};
 use ctbia_machine::{BiaPlacement, Counters, Machine, MachineConfig, MetricsSink, ObsTrace};
 use ctbia_sim::addr::{LineAddr, PhysAddr};
 use ctbia_sim::config::HierarchyConfig;
@@ -71,6 +75,22 @@ enum Op {
     },
     CtLoad(u64),
     CtStore(u64, u64),
+    /// Algorithm 2 over the `len` lines from `first`, targeting a 4- or
+    /// 8-byte word at byte `offset` of the set.
+    BiaLoad {
+        first: u64,
+        len: u64,
+        offset: u64,
+        wide: bool,
+    },
+    /// Algorithm 3 over the same kind of set.
+    BiaStore {
+        first: u64,
+        len: u64,
+        offset: u64,
+        wide: bool,
+        value: u64,
+    },
     /// A branch whose wrong path loads `wrong`, stores to its first word
     /// and sweeps a few lines from it.
     Branch {
@@ -120,8 +140,27 @@ fn program(seed: u64, ds_lines: u64, bia: bool) -> Vec<Op> {
                     extra,
                 }
             }
-            68..=77 if bia => Op::CtLoad(rng.below(words)),
-            78..=84 if bia => Op::CtStore(rng.below(words), rng.next()),
+            68..=73 if bia => Op::CtLoad(rng.below(words)),
+            74..=77 if bia => Op::CtStore(rng.below(words), rng.next()),
+            78..=81 if bia => {
+                let (first, len, ..) = sweep(&mut rng);
+                Op::BiaLoad {
+                    first,
+                    len,
+                    offset: rng.below(len * 16) * 4,
+                    wide: rng.below(2) == 0,
+                }
+            }
+            82..=84 if bia => {
+                let (first, len, ..) = sweep(&mut rng);
+                Op::BiaStore {
+                    first,
+                    len,
+                    offset: rng.below(len * 16) * 4,
+                    wide: rng.below(2) == 0,
+                    value: rng.next(),
+                }
+            }
             68..=84 => Op::Load(rng.below(words)),
             _ => {
                 let n = 1 + rng.below(6);
@@ -162,6 +201,27 @@ fn lines(base: PhysAddr, first: u64, len: u64) -> Vec<LineAddr> {
     (first..first + len)
         .map(|l| base.offset(l * 64).line())
         .collect()
+}
+
+/// The dataflow set of the `len` lines from `first`, and a target in it.
+fn bia_target(
+    base: PhysAddr,
+    first: u64,
+    len: u64,
+    offset: u64,
+    wide: bool,
+) -> (DataflowSet, PhysAddr, Width) {
+    let start = base.offset(first * 64);
+    let (offset, width) = if wide {
+        (offset & !7, Width::U64)
+    } else {
+        (offset, Width::U32)
+    };
+    (
+        DataflowSet::contiguous(start, len * 64),
+        start.offset(offset),
+        width,
+    )
 }
 
 fn run(config: &MachineConfig, ds_lines: u64, ops: &[Op], attach: Attach) -> Outcome {
@@ -208,6 +268,31 @@ fn run(config: &MachineConfig, ds_lines: u64, ops: &[Op], attach: Attach) -> Out
                 values.extend([r.data, r.existence]);
             }
             Op::CtStore(w, v) => values.push(m.ct_store(word_addr(base, *w), *v).dirtiness),
+            Op::BiaLoad {
+                first,
+                len,
+                offset,
+                wide,
+            } => {
+                let (ds, target, width) = bia_target(base, *first, *len, *offset, *wide);
+                values.push(ct_load_bia(
+                    &mut m,
+                    &ds,
+                    target,
+                    width,
+                    BiaOptions::default(),
+                ));
+            }
+            Op::BiaStore {
+                first,
+                len,
+                offset,
+                wide,
+                value,
+            } => {
+                let (ds, target, width) = bia_target(base, *first, *len, *offset, *wide);
+                ct_store_bia(&mut m, &ds, target, width, *value, BiaOptions::default());
+            }
             Op::Branch { site, taken, wrong } => {
                 m.spec_branch(*site, *taken, &mut |mm| {
                     for &w in wrong {

@@ -171,13 +171,30 @@ impl Cache {
     /// tag row into a hit-bit word, masks it with the valid word, and takes
     /// the lowest set bit. Tags are unique among the valid ways of a set,
     /// so at most one masked bit is set.
+    ///
+    /// The row is compared in fixed 8-way chunks (`&[u64; 8]`, fully
+    /// unrolled, with no per-way loop branch) and then the remainder, so
+    /// the common 8- and 16-way geometries run no tail loop at all.
+    /// Baseline x86-64 has no 64-bit vector compare (that is SSE4.1's
+    /// `pcmpeqq`), so each way is still one scalar compare.
     #[inline]
     fn find_way(&self, set: usize, tag: u64) -> Option<u32> {
         let base = set * self.assoc;
         let row = &self.tags[base..base + self.assoc];
         let mut hits = 0u64;
-        for (w, &t) in row.iter().enumerate() {
-            hits |= ((t == tag) as u64) << w;
+        let mut chunks = row.chunks_exact(8);
+        let mut shift = 0;
+        for chunk in &mut chunks {
+            let chunk: &[u64; 8] = chunk.try_into().expect("chunks_exact yields 8 tags");
+            let mut bits = 0u64;
+            for (w, &t) in chunk.iter().enumerate() {
+                bits |= ((t == tag) as u64) << w;
+            }
+            hits |= bits << shift;
+            shift += 8;
+        }
+        for (w, &t) in chunks.remainder().iter().enumerate() {
+            hits |= ((t == tag) as u64) << (shift + w);
         }
         hits &= self.valid[set];
         if hits != 0 {
@@ -207,6 +224,9 @@ impl Cache {
     /// neutral access (§3.2): the access behaves normally but leaves the
     /// LRU state untouched so that a later attacker probe cannot tell which
     /// resident line was touched.
+    ///
+    /// Exactly [`Cache::access_if_hit`] followed, on a miss, by
+    /// [`Cache::record_miss`] — one tag lookup either way.
     #[inline]
     pub fn access(
         &mut self,
@@ -214,63 +234,66 @@ impl Cache {
         kind: AccessKind,
         update_replacement: bool,
     ) -> AccessOutcome {
-        let set = self.set_index(line);
-        self.set_accesses[set] += 1;
-        match kind {
-            AccessKind::Read => self.stats.reads += 1,
-            AccessKind::Write => self.stats.writes += 1,
+        let outcome = self.access_if_hit(line, kind, update_replacement);
+        if outcome == AccessOutcome::Miss {
+            self.record_miss(line, kind);
         }
-        match self.find_way(set, self.tag_of(line)) {
-            Some(w) => {
-                self.stats.hits += 1;
-                if update_replacement {
-                    self.repl.on_hit(set, w as usize);
-                }
-                let bit = 1u64 << w;
-                let was_dirty = self.dirty[set] & bit != 0;
-                let write = kind == AccessKind::Write;
-                // Conditional-or instead of a dirty-bit branch.
-                self.dirty[set] |= bit * write as u64;
-                AccessOutcome::Hit {
-                    dirty: was_dirty | write,
-                    dirtied: write && !was_dirty,
-                }
-            }
-            None => {
-                self.stats.misses += 1;
-                AccessOutcome::Miss
-            }
-        }
+        outcome
     }
 
     /// Hit-only variant of [`Cache::access`]: on a hit it performs exactly
     /// the same bookkeeping (per-set counter, read/write statistic, hit
-    /// statistic, optional replacement update, dirty bit) and returns
-    /// `true`. On a miss it touches **nothing** — no counters at all — and
-    /// returns `false`, so the caller can retry with the full
-    /// [`Cache::access`] without double counting.
+    /// statistic, optional replacement update, dirty bit) and returns the
+    /// hit. On a miss it touches **nothing** — no counters at all — and
+    /// returns [`AccessOutcome::Miss`], so the caller can either retry with
+    /// the full [`Cache::access`] or settle the miss with
+    /// [`Cache::record_miss`] without double counting.
     #[inline]
     pub fn access_if_hit(
         &mut self,
         line: LineAddr,
         kind: AccessKind,
         update_replacement: bool,
-    ) -> bool {
+    ) -> AccessOutcome {
         let set = self.set_index(line);
         let Some(w) = self.find_way(set, self.tag_of(line)) else {
-            return false;
+            return AccessOutcome::Miss;
         };
         self.set_accesses[set] += 1;
-        match kind {
-            AccessKind::Read => self.stats.reads += 1,
-            AccessKind::Write => self.stats.writes += 1,
-        }
+        self.count_kind(kind);
         self.stats.hits += 1;
         if update_replacement {
             self.repl.on_hit(set, w as usize);
         }
-        self.dirty[set] |= (1u64 << w) * (kind == AccessKind::Write) as u64;
-        true
+        let bit = 1u64 << w;
+        let was_dirty = self.dirty[set] & bit != 0;
+        let write = kind == AccessKind::Write;
+        // Conditional-or instead of a dirty-bit branch.
+        self.dirty[set] |= bit * write as u64;
+        AccessOutcome::Hit {
+            dirty: was_dirty | write,
+            dirtied: write && !was_dirty,
+        }
+    }
+
+    /// Records the statistics [`Cache::access`] keeps for a miss — per-set
+    /// counter, read/write statistic, miss statistic — for a miss the
+    /// caller has already established with [`Cache::access_if_hit`]. No
+    /// lookup: `access_if_hit` then `record_miss` is `access`.
+    #[inline]
+    pub fn record_miss(&mut self, line: LineAddr, kind: AccessKind) {
+        let set = self.set_index(line);
+        self.set_accesses[set] += 1;
+        self.count_kind(kind);
+        self.stats.misses += 1;
+    }
+
+    #[inline]
+    fn count_kind(&mut self, kind: AccessKind) {
+        match kind {
+            AccessKind::Read => self.stats.reads += 1,
+            AccessKind::Write => self.stats.writes += 1,
+        }
     }
 
     /// A state-free lookup: the cache access half of `CTLoad`/`CTStore`.
@@ -332,22 +355,19 @@ impl Cache {
         evicted
     }
 
-    /// Sets the dirty bit of `line` without counting a demand access — used
-    /// when a dirty victim from an upper level is written back into a line
-    /// already resident here.
+    /// Sets the dirty bit of `line` if it is resident, without counting a
+    /// demand access — used when a dirty victim from an upper level is
+    /// written back into this level. One lookup answers both questions the
+    /// write-back asks.
     ///
-    /// Returns `true` if the bit changed from clean to dirty, `false` if the
-    /// line was absent or already dirty.
-    pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
-        match self.find(line) {
-            Some((set, w)) => {
-                let bit = 1u64 << w;
-                let changed = self.dirty[set] & bit == 0;
-                self.dirty[set] |= bit;
-                changed
-            }
-            None => false,
-        }
+    /// Returns `None` if the line is absent (the caller fills it instead),
+    /// otherwise whether the bit changed from clean to dirty.
+    pub(crate) fn mark_dirty_if_resident(&mut self, line: LineAddr) -> Option<bool> {
+        let (set, w) = self.find(line)?;
+        let bit = 1u64 << w;
+        let changed = self.dirty[set] & bit == 0;
+        self.dirty[set] |= bit;
+        Some(changed)
     }
 
     /// Removes `line` if present, returning its dirty state.
@@ -577,6 +597,18 @@ mod tests {
         c.access(a, AccessKind::Read, false);
         let ev = c.fill(line(3, 3), false).unwrap();
         assert_eq!(ev.line, a);
+    }
+
+    #[test]
+    fn mark_dirty_if_resident_answers_in_one_lookup() {
+        let mut c = tiny();
+        let l = line(1, 4);
+        assert_eq!(c.mark_dirty_if_resident(l), None, "absent");
+        c.fill(l, false);
+        assert_eq!(c.mark_dirty_if_resident(l), Some(true), "clean to dirty");
+        assert_eq!(c.mark_dirty_if_resident(l), Some(false), "already dirty");
+        assert!(c.is_dirty(l));
+        assert_eq!(c.stats().accesses(), 0, "not a demand access");
     }
 
     #[test]

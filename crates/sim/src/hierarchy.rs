@@ -228,6 +228,13 @@ impl AccessFlags {
         self.dram_direct = true;
         self
     }
+
+    /// Whether the access starts at L1d: it neither bypasses a cache level
+    /// nor goes straight to DRAM.
+    #[inline]
+    pub fn starts_at_l1d(self) -> bool {
+        !self.dram_direct && !self.bypass_l1 && !self.bypass_l2
+    }
 }
 
 /// Result of a data access.
@@ -487,43 +494,61 @@ impl Hierarchy {
             }
             Level::Dram => unreachable!(),
         };
-        if self.cache(below).is_resident(line) {
-            if self.cache_mut(below).mark_dirty(line) {
-                self.emit(
-                    mon,
-                    below,
-                    line,
-                    CacheEventKind::DirtyChange { dirty: true },
-                );
-            }
-        } else {
-            self.fill_at(mon, below, line, true);
+        match self.cache_mut(below).mark_dirty_if_resident(line) {
+            Some(true) => self.emit(
+                mon,
+                below,
+                line,
+                CacheEventKind::DirtyChange { dirty: true },
+            ),
+            Some(false) => {}
+            None => self.fill_at(mon, below, line, true),
         }
     }
 
-    /// Fast path for non-bypassing demand accesses when no level is
-    /// monitored: exactly the state change [`Hierarchy::access_with`] makes
-    /// for an L1d hit. Returns `true` on the hit; on a miss nothing is
-    /// touched — no statistics, no counters — so the caller can fall back
-    /// to the full access path without double counting.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that no level is monitored; with a monitor installed
-    /// the hit would have to emit events and the caller must use
-    /// [`Hierarchy::access_with`].
+    /// The hit-only half of a non-bypassing demand access: on an L1d hit
+    /// it makes exactly the state change [`Hierarchy::access_with`] makes
+    /// (the cache's demand bookkeeping, plus the hit's events to `mon` when
+    /// L1d is the monitored level) and returns `true`. On a miss nothing is
+    /// touched — no statistics, no counters — and the caller settles the
+    /// access with [`Hierarchy::access_after_l1d_miss`].
     #[inline]
-    pub fn l1d_access_if_hit(
+    pub fn l1d_access_if_hit<M: CacheMonitor>(
         &mut self,
         line: LineAddr,
         kind: AccessKind,
         update_replacement: bool,
+        mon: &mut M,
     ) -> bool {
-        debug_assert!(
-            self.monitor.is_none(),
-            "L1d fast path requires an unmonitored hierarchy"
-        );
-        self.l1d.access_if_hit(line, kind, update_replacement)
+        match self.l1d.access_if_hit(line, kind, update_replacement) {
+            AccessOutcome::Hit { dirty, dirtied } => {
+                self.emit_hit(mon, Level::L1d, line, dirty, dirtied);
+                true
+            }
+            AccessOutcome::Miss => false,
+        }
+    }
+
+    /// Emits a demand hit and, when the access dirtied the line, its
+    /// dirty-bit change.
+    #[inline]
+    fn emit_hit<M: CacheMonitor>(
+        &self,
+        mon: &mut M,
+        level: Level,
+        line: LineAddr,
+        dirty: bool,
+        dirtied: bool,
+    ) {
+        self.emit(mon, level, line, CacheEventKind::Hit { dirty });
+        if dirtied {
+            self.emit(
+                mon,
+                level,
+                line,
+                CacheEventKind::DirtyChange { dirty: true },
+            );
+        }
     }
 
     /// A demand data access, buffering monitored events for a later
@@ -540,7 +565,104 @@ impl Hierarchy {
     /// at each emit site — the inline-monitor path, which skips the event
     /// buffer entirely. The event sequence `mon` sees is identical to what
     /// [`Hierarchy::access`] would have buffered.
+    ///
+    /// A non-bypassing access is the hit-only L1d probe
+    /// ([`Hierarchy::l1d_access_if_hit`]) and, when it misses, the
+    /// continuation ([`Hierarchy::access_after_l1d_miss`]): one tag lookup
+    /// per level. Bypassing and DRAM-direct accesses walk their routed
+    /// path.
+    #[inline]
     pub fn access_with<M: CacheMonitor>(
+        &mut self,
+        line: LineAddr,
+        flags: AccessFlags,
+        mon: &mut M,
+    ) -> AccessResult {
+        if !flags.starts_at_l1d() {
+            return self.access_routed(line, flags, mon);
+        }
+        if self.l1d_access_if_hit(line, flags.kind, flags.update_replacement, mon) {
+            return AccessResult {
+                latency: self.l1d.hit_latency(),
+                hit_level: Level::L1d,
+                dram_latency: 0,
+            };
+        }
+        self.access_after_l1d_miss(line, flags, mon)
+    }
+
+    /// The continuation of a non-bypassing demand access whose hit-only
+    /// L1d probe ([`Hierarchy::l1d_access_if_hit`], same line and flags)
+    /// missed: records the L1d miss statistics without a second lookup and
+    /// finishes the access exactly as [`Hierarchy::access_with`] would.
+    ///
+    /// Outside [`InclusionPolicy::Exclusive`] this is a straight cascade —
+    /// one `Cache::access` each at L2 and the LLC until one hits, DRAM
+    /// otherwise, then the fills from the deepest missed level up to L1d
+    /// (each with its own evict/write-back chain) and the next-line
+    /// prefetch. Exclusive hierarchies continue on the routed walk.
+    pub fn access_after_l1d_miss<M: CacheMonitor>(
+        &mut self,
+        line: LineAddr,
+        flags: AccessFlags,
+        mon: &mut M,
+    ) -> AccessResult {
+        debug_assert!(
+            flags.starts_at_l1d(),
+            "the L1d-miss continuation serves non-bypassing accesses only"
+        );
+        self.l1d.record_miss(line, flags.kind);
+        if self.inclusion == InclusionPolicy::Exclusive {
+            return self.walk_path(line, flags, mon, &[Level::L1d, Level::L2, Level::Llc], 1);
+        }
+        let mut latency = self.l1d.hit_latency() + self.l2.hit_latency();
+        let mut dram_latency = 0;
+        // Deeper levels see fetch reads that refresh replacement state; the
+        // dirty data lives in L1d, filled last so it sees the final state.
+        let hit_level = match self.l2.access(line, AccessKind::Read, true) {
+            AccessOutcome::Hit { dirty, dirtied } => {
+                self.emit_hit(mon, Level::L2, line, dirty, dirtied);
+                Level::L2
+            }
+            AccessOutcome::Miss => {
+                latency += self.llc.hit_latency();
+                self.count_slice(line);
+                match self.llc.access(line, AccessKind::Read, true) {
+                    AccessOutcome::Hit { dirty, dirtied } => {
+                        self.emit_hit(mon, Level::Llc, line, dirty, dirtied);
+                        self.fill_at(mon, Level::L2, line, false);
+                        Level::Llc
+                    }
+                    AccessOutcome::Miss => {
+                        dram_latency = self.dram.read(line);
+                        latency += dram_latency;
+                        self.fill_at(mon, Level::Llc, line, false);
+                        self.fill_at(mon, Level::L2, line, false);
+                        Level::Dram
+                    }
+                }
+            }
+        };
+        self.fill_at(mon, Level::L1d, line, flags.kind == AccessKind::Write);
+        self.prefetch_next(mon, line);
+        AccessResult {
+            latency,
+            hit_level,
+            dram_latency,
+        }
+    }
+
+    /// Next-line prefetch after an L1d demand miss.
+    #[inline]
+    fn prefetch_next<M: CacheMonitor>(&mut self, mon: &mut M, line: LineAddr) {
+        if self.prefetch_next_line && !self.l1d.is_resident(line.offset(1)) {
+            self.prefetch_fills += 1;
+            self.fill_at(mon, Level::L1d, line.offset(1), false);
+        }
+    }
+
+    /// A bypassing or DRAM-direct access: walks the routed path.
+    fn access_routed<M: CacheMonitor>(
         &mut self,
         line: LineAddr,
         flags: AccessFlags,
@@ -557,19 +679,33 @@ impl Hierarchy {
                 dram_latency: latency,
             };
         }
-
         let path: &[Level] = if flags.bypass_l2 {
             &[Level::Llc]
-        } else if flags.bypass_l1 {
-            &[Level::L2, Level::Llc]
         } else {
-            &[Level::L1d, Level::L2, Level::Llc]
+            &[Level::L2, Level::Llc]
         };
+        self.walk_path(line, flags, mon, path, 0)
+    }
 
+    /// The general level walk of a demand access over `path`, under every
+    /// inclusion policy. The first `missed` levels are already known to
+    /// miss, with their statistics recorded: they add their latency but
+    /// are not looked up again.
+    fn walk_path<M: CacheMonitor>(
+        &mut self,
+        line: LineAddr,
+        flags: AccessFlags,
+        mon: &mut M,
+        path: &[Level],
+        missed: usize,
+    ) -> AccessResult {
         let mut latency = 0;
         let mut hit_at: Option<(usize, Level)> = None;
         for (i, &level) in path.iter().enumerate() {
             latency += self.cache(level).hit_latency();
+            if i < missed {
+                continue;
+            }
             // Only the nearest level sees the demand kind; deeper levels are
             // fetch reads — the dirty data will live in the nearest level.
             let kind = if i == 0 { flags.kind } else { AccessKind::Read };
@@ -581,21 +717,12 @@ impl Hierarchy {
             if level == Level::Llc {
                 self.count_slice(line);
             }
-            match self.cache_mut(level).access(line, kind, update) {
-                AccessOutcome::Hit { dirty, dirtied } => {
-                    self.emit(mon, level, line, CacheEventKind::Hit { dirty });
-                    if dirtied {
-                        self.emit(
-                            mon,
-                            level,
-                            line,
-                            CacheEventKind::DirtyChange { dirty: true },
-                        );
-                    }
-                    hit_at = Some((i, level));
-                    break;
-                }
-                AccessOutcome::Miss => {}
+            if let AccessOutcome::Hit { dirty, dirtied } =
+                self.cache_mut(level).access(line, kind, update)
+            {
+                self.emit_hit(mon, level, line, dirty, dirtied);
+                hit_at = Some((i, level));
+                break;
             }
         }
 
@@ -633,14 +760,8 @@ impl Hierarchy {
             }
         }
 
-        // Next-line prefetch on an L1d demand miss.
-        if self.prefetch_next_line
-            && !flags.bypass_l1
-            && hit_level != Level::L1d
-            && !self.l1d.is_resident(line.offset(1))
-        {
-            self.prefetch_fills += 1;
-            self.fill_at(mon, Level::L1d, line.offset(1), false);
+        if path[0] == Level::L1d && hit_level != Level::L1d {
+            self.prefetch_next(mon, line);
         }
 
         AccessResult {

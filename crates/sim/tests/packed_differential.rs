@@ -1,7 +1,9 @@
 //! Differential property tests for the packed (structure-of-arrays) cache:
 //! the word-arithmetic implementation is compared against a naive
 //! `HashMap`-based reference model under random access/fill/invalidate
-//! streams, for all three replacement policies — hit/miss, victim, and
+//! streams, for all three replacement policies at 4, 8, 12 and 16 ways —
+//! so the chunked tag compare runs its remainder alone, one full chunk,
+//! a chunk plus a remainder, and two chunks — and hit/miss, victim, and
 //! dirty outcomes must match exactly. A second suite drives a full
 //! [`Hierarchy`] across every inclusion policy × replacement policy
 //! combination and checks the policy invariants after every access.
@@ -15,13 +17,15 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 
 const SETS: u64 = 8;
-const ASSOC: usize = 4;
+
+/// The associativities every policy is checked at.
+const WAYS: [usize; 4] = [4, 8, 12, 16];
 
 /// The naive reference: one map entry per resident line, with the stamp
 /// bookkeeping spelled out longhand. No occupancy words, no packed tags —
 /// just a dictionary and linear scans.
-#[derive(Default)]
 struct RefModel {
+    assoc: usize,
     lines: HashMap<u64, RefLine>,
     clock: u64,
 }
@@ -34,6 +38,14 @@ struct RefLine {
 }
 
 impl RefModel {
+    fn new(assoc: usize) -> Self {
+        RefModel {
+            assoc,
+            lines: HashMap::new(),
+            clock: 0,
+        }
+    }
+
     fn set_of(line: u64) -> u64 {
         line % SETS
     }
@@ -68,7 +80,7 @@ impl RefModel {
             .iter()
             .filter(|(l, _)| Self::set_of(**l) == set)
             .collect();
-        if resident.len() < ASSOC {
+        if resident.len() < self.assoc {
             return None;
         }
         resident.sort_by_key(|(_, e)| e.stamp);
@@ -98,6 +110,9 @@ enum Op {
     NeutralRead(u64),
     Invalidate(u64),
     Probe(u64),
+    /// A hit-only probe settled, on a miss, by the miss bookkeeping and a
+    /// fill — the split form of a demand read.
+    SplitRead(u64),
 }
 
 fn op_strategy(line_space: u64) -> impl Strategy<Value = Op> {
@@ -107,19 +122,32 @@ fn op_strategy(line_space: u64) -> impl Strategy<Value = Op> {
         (0..line_space).prop_map(Op::NeutralRead),
         (0..line_space).prop_map(Op::Invalidate),
         (0..line_space).prop_map(Op::Probe),
+        (0..line_space).prop_map(Op::SplitRead),
     ]
 }
 
-/// Runs one op stream against the packed cache and the reference, checking
-/// hit/miss, victim, and dirty agreement at every step.
+/// Runs one op stream, at every associativity of [`WAYS`].
 fn run_differential(kind: ReplacementKind, ops: &[Op]) {
+    for assoc in WAYS {
+        run_differential_at(kind, assoc, ops);
+    }
+}
+
+/// Runs one op stream against a packed cache of `assoc` ways and the
+/// reference, checking hit/miss, victim, and dirty agreement at every step.
+/// Lines are folded into three times the cache's capacity, so sets fill and
+/// evict at every associativity.
+fn run_differential_at(kind: ReplacementKind, assoc: usize, ops: &[Op]) {
     let cfg =
-        CacheConfig::new("T", SETS * ASSOC as u64 * 64, ASSOC as u32, 1).with_replacement(kind);
+        CacheConfig::new("T", SETS * assoc as u64 * 64, assoc as u32, 1).with_replacement(kind);
     let mut cache = Cache::new(cfg).unwrap();
-    let mut model = RefModel::default();
+    let mut model = RefModel::new(assoc);
+    let space = 3 * SETS * assoc as u64;
+    let (mut hits, mut misses) = (0u64, 0u64);
     for op in ops {
         match *op {
-            Op::Read(l) | Op::Write(l) | Op::NeutralRead(l) => {
+            Op::Read(l) | Op::Write(l) | Op::NeutralRead(l) | Op::SplitRead(l) => {
+                let l = l % space;
                 let line = LineAddr::new(l);
                 let write = matches!(op, Op::Write(_));
                 let neutral = matches!(op, Op::NeutralRead(_));
@@ -128,16 +156,26 @@ fn run_differential(kind: ReplacementKind, ops: &[Op]) {
                 } else {
                     AccessKind::Read
                 };
-                let outcome = cache.access(line, akind, !neutral);
+                let outcome = if matches!(op, Op::SplitRead(_)) {
+                    let outcome = cache.access_if_hit(line, akind, true);
+                    if outcome == AccessOutcome::Miss {
+                        cache.record_miss(line, akind);
+                    }
+                    outcome
+                } else {
+                    cache.access(line, akind, !neutral)
+                };
                 let model_hit = model.access(l, write, !neutral, kind);
                 match outcome {
                     AccessOutcome::Hit { dirty, .. } => {
+                        hits += 1;
                         prop_assert_eq!(Some(dirty), model_hit, "hit/dirty mismatch at line {}", l);
                     }
                     AccessOutcome::Miss => {
+                        misses += 1;
                         prop_assert_eq!(model_hit, None, "model hit where cache missed at {}", l);
                         let predicted = model.predicted_victim(l, kind);
-                        let full = model.set_len(l) == ASSOC;
+                        let full = model.set_len(l) == assoc;
                         let evicted = cache.fill(line, write);
                         match evicted {
                             Some(ev) => {
@@ -176,12 +214,14 @@ fn run_differential(kind: ReplacementKind, ops: &[Op]) {
                 }
             }
             Op::Invalidate(l) => {
+                let l = l % space;
                 let line = LineAddr::new(l);
                 let was = cache.invalidate(line);
                 let model_was = model.lines.remove(&l).map(|e| e.dirty);
                 prop_assert_eq!(was, model_was, "invalidate outcome mismatch at {}", l);
             }
             Op::Probe(l) => {
+                let l = l % space;
                 let line = LineAddr::new(l);
                 let p = cache.probe(line);
                 let m = model.lines.get(&l);
@@ -205,6 +245,19 @@ fn run_differential(kind: ReplacementKind, ops: &[Op]) {
             walked += 1;
         });
         prop_assert_eq!(walked, model.lines.len());
+        // The split read keeps exactly the demand statistics.
+        prop_assert_eq!(
+            (cache.stats().hits, cache.stats().misses),
+            (hits, misses),
+            "{} ways: hit/miss statistics",
+            assoc
+        );
+        prop_assert_eq!(
+            cache.set_access_counts().iter().sum::<u64>(),
+            hits + misses,
+            "{} ways: per-set access counts",
+            assoc
+        );
     }
 }
 
@@ -246,21 +299,21 @@ proptest! {
 
     #[test]
     fn packed_cache_matches_reference_lru(
-        ops in proptest::collection::vec(op_strategy(96), 1..300),
+        ops in proptest::collection::vec(op_strategy(384), 1..400),
     ) {
         run_differential(ReplacementKind::Lru, &ops);
     }
 
     #[test]
     fn packed_cache_matches_reference_fifo(
-        ops in proptest::collection::vec(op_strategy(96), 1..300),
+        ops in proptest::collection::vec(op_strategy(384), 1..400),
     ) {
         run_differential(ReplacementKind::Fifo, &ops);
     }
 
     #[test]
     fn packed_cache_matches_reference_random(
-        ops in proptest::collection::vec(op_strategy(96), 1..300),
+        ops in proptest::collection::vec(op_strategy(384), 1..400),
     ) {
         run_differential(ReplacementKind::Random, &ops);
     }
