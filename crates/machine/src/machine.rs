@@ -1476,6 +1476,7 @@ fn sweep_walk<M: CacheMonitor>(
 ) -> Option<AccessResult> {
     // `ds_flags` sets `bypass_l1` whenever it sets `bypass_l2`, and sweeps
     // never go straight to DRAM.
+    debug_assert!(flags.bypass_l1 || flags.starts_at_l1d());
     if flags.bypass_l1 {
         return Some(hier.access_with(line, flags, mon));
     }
