@@ -8,12 +8,16 @@
 //! `MetricsSink`, and with the observation recorder. Loaded values, final
 //! memory, every counter and the residency of every dataflow-set line must
 //! agree across the three, and the recorder must see exactly the accesses
-//! the sink saw. Unobserved sweeps and group fetches take the batched path
-//! (hits and misses walked in place, charges applied once; on BIA machines
-//! with the BIA updated inline), observed ones the per-line path. The
-//! grid covers the insecure machine and BIA machines at L1d, L2 and a
-//! sliced LLC, at speculation windows 0 and 32, over a dataflow set that
-//! fits in the L1d and one that spills into the L2.
+//! the sink saw. Unobserved sweeps take the batched path (hits and misses
+//! walked in place, charges applied once; on BIA machines with the BIA
+//! updated inline), observed ones the per-line path. The BIA algorithms
+//! fetch per line through demand accesses on every machine; they are in
+//! the mix because each of their fetch-or-skip decisions reads the BIA's
+//! existence and dirtiness bits, so a BIA whose state drifted on one
+//! machine changes which lines that machine fetches. The grid covers the
+//! insecure machine and BIA machines at L1d, L2 and a sliced LLC, at
+//! speculation windows 0 and 32, over a dataflow set that fits in the L1d
+//! and one that spills into the L2.
 
 use ctbia_core::ctmem::{CtMemory, Width};
 use ctbia_core::ds::DataflowSet;
@@ -116,7 +120,7 @@ fn program(seed: u64, ds_lines: u64, bia: bool) -> Vec<Op> {
         (first, len, target, rng.below(8), rng.below(4))
     };
     (0..OPS)
-        .map(|_| match rng.below(100) {
+        .map(|_| match rng.below(107) {
             0..=29 => Op::Load(rng.below(words)),
             30..=49 => Op::Store(rng.below(words), rng.next()),
             50..=59 => {
@@ -140,9 +144,9 @@ fn program(seed: u64, ds_lines: u64, bia: bool) -> Vec<Op> {
                     extra,
                 }
             }
-            68..=73 if bia => Op::CtLoad(rng.below(words)),
-            74..=77 if bia => Op::CtStore(rng.below(words), rng.next()),
-            78..=81 if bia => {
+            68..=77 if bia => Op::CtLoad(rng.below(words)),
+            78..=84 if bia => Op::CtStore(rng.below(words), rng.next()),
+            85..=88 if bia => {
                 let (first, len, ..) = sweep(&mut rng);
                 Op::BiaLoad {
                     first,
@@ -151,7 +155,7 @@ fn program(seed: u64, ds_lines: u64, bia: bool) -> Vec<Op> {
                     wide: rng.below(2) == 0,
                 }
             }
-            82..=84 if bia => {
+            89..=91 if bia => {
                 let (first, len, ..) = sweep(&mut rng);
                 Op::BiaStore {
                     first,
@@ -161,7 +165,7 @@ fn program(seed: u64, ds_lines: u64, bia: bool) -> Vec<Op> {
                     value: rng.next(),
                 }
             }
-            68..=84 => Op::Load(rng.below(words)),
+            68..=91 => Op::Load(rng.below(words)),
             _ => {
                 let n = 1 + rng.below(6);
                 Op::Branch {

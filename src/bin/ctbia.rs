@@ -700,61 +700,32 @@ fn bench_grid(quick: bool) -> Vec<CellSpec> {
     grid
 }
 
-/// Work simulated by a set of cells, counted two ways.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct SimWork {
-    /// Memory-system events: retired instructions plus every cache- and
-    /// DRAM-level access. Mostly instructions, which the simulator charges
-    /// by arithmetic.
-    accesses: u64,
-    /// Memory operations: L1d demand reads and writes plus CTLoad/CTStore.
-    /// Retired instructions are not counted.
-    mem_ops: u64,
-}
-
-impl SimWork {
-    fn of(reports: &[CellReport]) -> SimWork {
-        reports.iter().fold(SimWork::default(), |w, report| {
-            let c = &report.counters;
-            SimWork {
-                accesses: w.accesses
-                    + c.insts
-                    + c.hier.l1i.accesses()
-                    + c.hier.l1d.accesses()
-                    + c.hier.l2.accesses()
-                    + c.hier.llc.accesses()
-                    + c.dram_accesses(),
-                mem_ops: w.mem_ops
-                    + c.hier.l1d.reads
-                    + c.hier.l1d.writes
-                    + c.ct_loads
-                    + c.ct_stores,
-            }
-        })
-    }
+/// Work simulated by one cell, in memory-system events: retired
+/// instructions plus every cache- and DRAM-level access.
+fn simulated_accesses(report: &CellReport) -> u64 {
+    let c = &report.counters;
+    c.insts
+        + c.hier.l1i.accesses()
+        + c.hier.l1d.accesses()
+        + c.hier.l2.accesses()
+        + c.hier.llc.accesses()
+        + c.dram_accesses()
 }
 
 /// One phase object of `BENCH_sweep.json`, on a single line so shell
 /// tooling can grep it. Phases that simulate nothing (the warm phase
 /// serves everything from cache) pass `None` and the misleading
-/// `sim_accesses_per_sec` and `sim_mem_ops_per_sec` keys are omitted
-/// rather than reported as 0.
+/// `sim_accesses_per_sec` key is omitted rather than reported as 0.
 fn phase_json(
     wall_s: f64,
     cells: usize,
-    work: Option<SimWork>,
+    sim_accesses: Option<u64>,
     executed: u64,
     hits: u64,
 ) -> String {
     let wall = wall_s.max(1e-9);
-    let access_rate = work
-        .map(|w| {
-            format!(
-                "\"sim_accesses_per_sec\": {:.0}, \"sim_mem_ops_per_sec\": {:.0}, ",
-                w.accesses as f64 / wall,
-                w.mem_ops as f64 / wall
-            )
-        })
+    let access_rate = sim_accesses
+        .map(|a| format!("\"sim_accesses_per_sec\": {:.0}, ", a as f64 / wall))
         .unwrap_or_default();
     format!(
         "{{ \"wall_ms\": {:.3}, \"cells_per_sec\": {:.2}, {access_rate}\
@@ -775,26 +746,18 @@ fn history_line(
     quick: bool,
     threads: usize,
     cells: usize,
-    work: SimWork,
-    serial_s: f64,
-    parallel_s: f64,
+    sim_accesses: u64,
+    serial_rate: f64,
+    parallel_rate: f64,
     byte_identical: bool,
 ) -> String {
-    let SimWork { accesses, mem_ops } = work;
-    let (serial, parallel) = (serial_s.max(1e-9), parallel_s.max(1e-9));
     format!(
         "{{\"schema\": \"ctbia-bench-history-v1\", \"unix_time\": {unix_time}, \
          \"git_rev\": \"{git_rev}\", \"quick\": {quick}, \"threads\": {threads}, \
-         \"cells\": {cells}, \"sim_accesses\": {accesses}, \"sim_mem_ops\": {mem_ops}, \
-         \"serial_sim_accesses_per_sec\": {:.0}, \
-         \"parallel_sim_accesses_per_sec\": {:.0}, \
-         \"serial_sim_mem_ops_per_sec\": {:.0}, \
-         \"parallel_sim_mem_ops_per_sec\": {:.0}, \
-         \"byte_identical\": {byte_identical}}}\n",
-        accesses as f64 / serial,
-        accesses as f64 / parallel,
-        mem_ops as f64 / serial,
-        mem_ops as f64 / parallel,
+         \"cells\": {cells}, \"sim_accesses\": {sim_accesses}, \
+         \"serial_sim_accesses_per_sec\": {serial_rate:.0}, \
+         \"parallel_sim_accesses_per_sec\": {parallel_rate:.0}, \
+         \"byte_identical\": {byte_identical}}}\n"
     )
 }
 
@@ -890,25 +853,21 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         let bytes = s.to_cache_text();
         bytes == p.to_cache_text() && bytes == w.to_cache_text()
     });
-    let work = SimWork::of(&serial);
-    let sim_accesses = work.accesses;
+    let sim_accesses: u64 = serial.iter().map(simulated_accesses).sum();
     let speedup_parallel = serial_s / parallel_s.max(1e-9);
     let speedup_warm = serial_s / warm_s.max(1e-9);
 
     println!(
-        "  serial    {:>9.1} ms  {:>8.2} cells/s  {:>12.0} sim accesses/s  {:>11.0} mem ops/s",
+        "  serial    {:>9.1} ms  {:>8.2} cells/s  {:>12.0} sim accesses/s",
         serial_s * 1000.0,
         n as f64 / serial_s.max(1e-9),
         sim_accesses as f64 / serial_s.max(1e-9),
-        work.mem_ops as f64 / serial_s.max(1e-9),
     );
     println!(
-        "  parallel  {:>9.1} ms  {:>8.2} cells/s  {:>12.0} sim accesses/s  {:>11.0} mem ops/s  \
-         ({speedup_parallel:.2}x)",
+        "  parallel  {:>9.1} ms  {:>8.2} cells/s  {:>12.0} sim accesses/s  ({speedup_parallel:.2}x)",
         parallel_s * 1000.0,
         n as f64 / parallel_s.max(1e-9),
         sim_accesses as f64 / parallel_s.max(1e-9),
-        work.mem_ops as f64 / parallel_s.max(1e-9),
     );
     println!(
         "  warm      {:>9.1} ms  {:>8.2} cells/s  ({} simulated, {} from results/cache, {speedup_warm:.0}x)",
@@ -925,17 +884,21 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     let json = format!(
         "{{\n  \"schema\": \"ctbia-bench-sweep-v1\",\n  \"quick\": {quick},\n  \
          \"threads\": {threads},\n  \"available_cores\": {cores},\n  \"cells\": {n},\n  \
-         \"sim_accesses\": {sim_accesses},\n  \"sim_mem_ops\": {},\n  \
-         \"byte_identical\": {byte_identical},\n  \
+         \"sim_accesses\": {sim_accesses},\n  \"byte_identical\": {byte_identical},\n  \
          \"serial\": {},\n  \"parallel\": {},\n  \"warm\": {},\n  \
          \"speedup\": {{ \"parallel_over_serial\": {speedup_parallel:.3}, \
          \"warm_over_serial\": {speedup_warm:.3} }}\n}}\n",
-        work.mem_ops,
-        phase_json(serial_s, n, Some(work), serial_engine.cells_executed(), 0),
+        phase_json(
+            serial_s,
+            n,
+            Some(sim_accesses),
+            serial_engine.cells_executed(),
+            0
+        ),
         phase_json(
             parallel_s,
             n,
-            Some(work),
+            Some(sim_accesses),
             parallel_engine.cells_executed(),
             0
         ),
@@ -959,9 +922,9 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         quick,
         threads,
         n,
-        work,
-        serial_s,
-        parallel_s,
+        sim_accesses,
+        sim_accesses as f64 / serial_s.max(1e-9),
+        sim_accesses as f64 / parallel_s.max(1e-9),
         byte_identical,
     );
     use std::io::Write as _;
@@ -980,7 +943,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         });
         doc.push("cells", n as u64);
         doc.push("sim_accesses", sim_accesses);
-        doc.push("sim_mem_ops", work.mem_ops);
         // Sum every counter over the serial (reference) reports, keeping
         // the canonical field order.
         let mut sums: Vec<(&'static str, u64)> = Vec::new();
@@ -1919,7 +1881,6 @@ mod tests {
     fn phase_json_omits_access_rate_when_nothing_simulated() {
         let warm = phase_json(0.5, 44, None, 0, 44);
         assert!(!warm.contains("sim_accesses_per_sec"), "{warm}");
-        assert!(!warm.contains("sim_mem_ops_per_sec"), "{warm}");
         // ci.sh greps the warm phase as `"executed": 0, "cache_hits": N }`
         // with N read from the document's own "cells" field, so the
         // terminator must directly follow the hit count.
@@ -1931,13 +1892,8 @@ mod tests {
 
     #[test]
     fn phase_json_reports_access_rate_when_measured() {
-        let work = SimWork {
-            accesses: 1000,
-            mem_ops: 300,
-        };
-        let hot = phase_json(0.5, 44, Some(work), 44, 0);
+        let hot = phase_json(0.5, 44, Some(1000), 44, 0);
         assert!(hot.contains("\"sim_accesses_per_sec\": 2000"), "{hot}");
-        assert!(hot.contains("\"sim_mem_ops_per_sec\": 600"), "{hot}");
         assert!(hot.contains("\"executed\": 44, \"cache_hits\": 0"), "{hot}");
     }
 
@@ -1949,12 +1905,9 @@ mod tests {
             true,
             8,
             44,
-            SimWork {
-                accesses: 100_000_000,
-                mem_ops: 20_000_000,
-            },
-            1.0,
-            0.25,
+            123_456,
+            1e8,
+            4e8,
             true,
         );
         assert!(line.ends_with('}') || line.ends_with("}\n"), "{line}");
@@ -1971,15 +1924,6 @@ mod tests {
         );
         assert!(
             line.contains("\"parallel_sim_accesses_per_sec\": 400000000"),
-            "{line}"
-        );
-        assert!(line.contains("\"sim_mem_ops\": 20000000"), "{line}");
-        assert!(
-            line.contains("\"serial_sim_mem_ops_per_sec\": 20000000"),
-            "{line}"
-        );
-        assert!(
-            line.contains("\"parallel_sim_mem_ops_per_sec\": 80000000"),
             "{line}"
         );
     }
